@@ -5,7 +5,16 @@ classification of operator triples (tetrablock unitaries, isometries,
 pseudo-commutative variants, a necessary-condition contraction certifier),
 fundamental operator pairs, Douglas-type functional models with verified
 lifts, and characteristic data sets with coincidence testing.
+
+``TETRAKIT_THREADS`` caps BLAS threads; it is applied here, before any
+submodule loads numpy, so it also takes effect for ``python -m tetrakit.cli``.
 """
+
+import os as _os
+
+if _os.environ.get("TETRAKIT_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["TETRAKIT_THREADS"])
 
 from .classify import (
     Certificate,

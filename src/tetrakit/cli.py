@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -49,14 +48,6 @@ class JobSpec:
     adjoint: bool = False
     gen_class: str = "NormalEContraction"
     dim: int = 2
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TETRAKIT_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _provenance(job: JobSpec, tol) -> dict:
@@ -104,7 +95,6 @@ def _expect_kind(kind: str, wanted: str):
 
 def run(job: JobSpec) -> int:
     """Execute one pipeline stage and write its report."""
-    _apply_thread_cap()
     from . import classify as cl
     from . import fundops as fo
     from . import gen as g
@@ -205,12 +195,7 @@ def run(job: JobSpec) -> int:
             )
             payload = tio.wrap_document("dataset", tio.dataset_to_json(ds))
             payload["provenance"] = report["provenance"]
-            text = json.dumps(tio.sanitize_report(payload), indent=2)
-            if job.output_path:
-                with open(job.output_path, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
+            _emit(payload, job)
             return EXIT_OK
 
         if job.command == "coincide":
@@ -245,13 +230,8 @@ def run(job: JobSpec) -> int:
                 payload = tio.wrap_document("dataset", tio.dataset_to_json(value))
             else:
                 payload = tio.wrap_document("triple", tio.triple_to_json(value))
-            payload["provenance"] = _provenance(job, tol)
-            text = json.dumps(tio.sanitize_report(payload), indent=2)
-            if job.output_path:
-                with open(job.output_path, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
+            payload["provenance"] = report["provenance"]
+            _emit(payload, job)
             return EXIT_OK
 
         raise SchemaError(f"unknown command {job.command!r}")

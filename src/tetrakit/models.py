@@ -33,7 +33,6 @@ from .fundops import (
     fundamental_pair,
     is_special_pair,
     pencil_contractive,
-    symbols_commute,
 )
 from .matkernel import (
     DEFAULT_TOL,
@@ -400,9 +399,6 @@ def verify_lift(
 def lift_is_strict(model: DouglasModel, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Strictness of the lift: special (G1, G2) and a strict residual part."""
     special, _ = is_special_pair(model.g1, model.g2, tol)
-    symbols = symbols_commute(model.g1, model.g2, tol)
-    if special != symbols:
-        raise InternalConsistencyError("special-pair and symbol tests disagree")
     return special and model.residual.strict
 
 
@@ -511,53 +507,38 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _joint_intertwiner(
-    pairs_left: list[tuple[np.ndarray, np.ndarray]],
-    seed: int = 7,
-) -> Optional[np.ndarray]:
-    """Unitary X with X L = L' X for every pair (L, L'), found by nullspace.
+def _unitary_candidates(
+    system: np.ndarray, shapes: Sequence[tuple[int, int]]
+) -> list[list[np.ndarray]]:
+    """Polar-corrected unitary candidates from a homogeneous system.
 
-    pairs_left contains (L, L') with L on the source space and L' on the
-    target space; the homogeneous system is solved by SVD and the best
-    candidates are polar-corrected.  Returns None when no near-unitary
-    solution emerges.
+    The system acts on the column-major vecs of unknown blocks of the given
+    shapes, stacked in order.  Candidates are the last right singular vector
+    and eight seeded combinations of the near-null basis; each block is
+    polar-corrected, and a candidate with a numerically singular block is
+    dropped.  Callers keep the candidate whose verified residual is smallest.
     """
-    if not pairs_left:
-        return None
-    rows_src = pairs_left[0][0].shape[0]
-    rows_dst = pairs_left[0][1].shape[0]
-    if rows_src != rows_dst:
-        return None
-    if rows_src == 0:
-        return np.zeros((0, 0), dtype=complex)
-    blocks = []
-    for left, right in pairs_left:
-        blocks.append(np.kron(left.T, np.eye(rows_dst)) - np.kron(np.eye(rows_src), right))
-    system = np.vstack(blocks)
     _, svals, vh = np.linalg.svd(system)
     right = vh.conj()  # rows of vh are conjugated right singular vectors
-    candidates = [right[-1]]
-    null_dim = int(np.sum(svals <= 1e-8 * max(1.0, svals[0]))) if svals.size else 1
+    vectors = [right[-1]]
+    null_dim = int(np.sum(svals <= 1e-7 * max(1.0, svals[0]))) if svals.size else 0
     if null_dim > 1:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(11)
         basis = right[len(svals) - null_dim:]
         for _ in range(8):
             coeffs = rng.standard_normal(null_dim) + 1j * rng.standard_normal(null_dim)
-            candidates.append(coeffs @ basis)
-    best = None
-    best_sigma = -1.0
-    for cand in candidates:
-        x = cand.reshape(rows_src, rows_src).T  # vec stacking is column-major here
-        svx = np.linalg.svd(x, compute_uv=False)
-        if svx[0] < 1e-12:
+            vectors.append(coeffs @ basis)
+    cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
+    candidates = []
+    for vec in vectors:
+        blocks = [
+            piece.reshape(cols, rows).T
+            for piece, (rows, cols) in zip(np.split(vec, cuts), shapes)
+        ]
+        if any(min(b.shape) and np.linalg.svd(b, compute_uv=False)[-1] < 1e-8 for b in blocks):
             continue
-        ratio = svx[-1] / svx[0]
-        if ratio > best_sigma:
-            best_sigma = ratio
-            best = x
-    if best is None or best_sigma < 1e-6:
-        return None
-    return _polar_unitary(best)
+        candidates.append([_polar_unitary(b) if min(b.shape) else b for b in blocks])
+    return candidates
 
 
 def coincide(
@@ -618,29 +599,10 @@ def coincide(
                     ]
                 )
             )
-        system = np.vstack(blocks)
-        _, svals, vh = np.linalg.svd(system)
-        right = vh.conj()  # rows of vh are conjugated right singular vectors
-        candidates = [right[-1]]
-        if svals.size:
-            null_dim = int(np.sum(svals <= 1e-7 * max(1.0, svals[0])))
-            if null_dim > 1:
-                rng = np.random.default_rng(11)
-                basis = right[len(svals) - null_dim:]
-                for _ in range(8):
-                    c = rng.standard_normal(null_dim) + 1j * rng.standard_normal(null_dim)
-                    candidates.append(c @ basis)
         theta_res = math.inf
         fund_res = math.inf
-        for cand in candidates:
-            phi_c = cand[: in2 * in1].reshape(in1, in2).T
-            star_c = cand[in2 * in1:].reshape(out1, out2).T
-            if min(phi_c.shape) and np.linalg.svd(phi_c, compute_uv=False)[-1] < 1e-8:
-                continue
-            if min(star_c.shape) and np.linalg.svd(star_c, compute_uv=False)[-1] < 1e-8:
-                continue
-            phi_c = _polar_unitary(phi_c) if min(phi_c.shape) else phi_c
-            star_c = _polar_unitary(star_c) if min(star_c.shape) else star_c
+        shapes = [(in2, in1), (out2, out1)]
+        for phi_c, star_c in _unitary_candidates(np.vstack(blocks), shapes):
             t_res = max(
                 (_nrm(star_c @ m1 - m2 @ phi_c) for m1, m2 in pairs), default=0.0
             )
@@ -655,25 +617,26 @@ def coincide(
     report.residuals["theta"] = theta_res
     report.residuals["fundamental"] = fund_res
 
-    omega = _joint_intertwiner(
-        [
+    omega = np.zeros((0, 0), dtype=complex)
+    res_res = 0.0
+    rdim = d1.residual.dim
+    if rdim:
+        res_pairs = [
             (d1.residual.r, d2.residual.r),
             (d1.residual.s, d2.residual.s),
             (d1.residual.w, d2.residual.w),
         ]
-    )
-    if omega is None and d1.residual.dim:
-        report.residuals["residual"] = math.inf
+        eye = np.eye(rdim)
+        system = np.vstack([np.kron(x.T, eye) - np.kron(eye, y) for x, y in res_pairs])
+        omega, res_res = None, math.inf
+        for (cand,) in _unitary_candidates(system, [(rdim, rdim)]):
+            res = max(_nrm(cand @ x - y @ cand) for x, y in res_pairs)
+            if res < res_res:
+                omega, res_res = cand, res
+    report.residuals["residual"] = res_res
+    if omega is None:
         report.note = "no unitary intertwines the residual triples"
         return report
-    res_res = 0.0
-    if d1.residual.dim:
-        res_res = max(
-            _nrm(omega @ d1.residual.r - d2.residual.r @ omega),
-            _nrm(omega @ d1.residual.s - d2.residual.s @ omega),
-            _nrm(omega @ d1.residual.w - d2.residual.w @ omega),
-        )
-    report.residuals["residual"] = res_res
 
     worst = max(theta_res, fund_res, res_res)
     report.phi, report.phi_star, report.omega = phi, phi_star, omega

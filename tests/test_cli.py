@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tetrakit
 from tetrakit import cli
 from tetrakit import gen
 from tetrakit import io as tio
@@ -185,3 +190,35 @@ class TestCliExitCodes:
         r1["provenance"].pop("timestamp")
         r2["provenance"].pop("timestamp")
         assert r1 == r2
+
+
+_NUMPY_IMPORT_PROBE = """
+import os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+import tetrakit.cli
+print(seen[0])
+"""
+
+
+class TestThreadCap:
+    def test_cap_set_before_numpy_loads(self):
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["TETRAKIT_THREADS"] = "1"
+        env["PYTHONPATH"] = str(Path(tetrakit.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _NUMPY_IMPORT_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "1"
