@@ -265,22 +265,24 @@ def pencil_numerical_radius_max(
     ku, kv = divmod(k, gv)
     best = float(tops[k])
 
-    def top(u: float, v: float) -> float:
+    def top(u, v):
+        """Top eigenvalue of Re(e^{iu} X1) + Re(e^{iv} X2); u, v broadcast."""
+        u, v = (np.asarray(x)[..., None, None] for x in (u, v))
         h = 0.5 * (np.exp(1j * u) * a + np.exp(-1j * u) * a.conj().T)
         h = h + 0.5 * (np.exp(1j * v) * b + np.exp(-1j * v) * b.conj().T)
-        return float(np.linalg.eigvalsh(h)[-1])
+        return np.linalg.eigvalsh(h)[..., -1]
 
     u0, v0 = us[ku], vs[kv]
     du, dv = 2.0 * np.pi / gu, 2.0 * np.pi / gv
     for _ in range(3):
-        u0_best = _golden_max(lambda u: top(u, v0), u0 - du, u0 + du, iters=30)
+        u0_best = _golden_max(lambda u: float(top(u, v0)), u0 - du, u0 + du, iters=30)
         # golden returns the value; recover the argmax with a fine scan
         fine = u0 + np.linspace(-du, du, 33)
-        u0 = float(fine[np.argmax([top(u, v0) for u in fine])])
+        u0 = float(fine[np.argmax(top(fine, v0))])
         fine_v = v0 + np.linspace(-dv, dv, 33)
-        v0 = float(fine_v[np.argmax([top(u0, v) for v in fine_v])])
+        v0 = float(fine_v[np.argmax(top(u0, fine_v))])
         du, dv = du / 8.0, dv / 8.0
-        best = max(best, top(u0, v0), u0_best)
+        best = max(best, float(top(u0, v0)), u0_best)
     return max(best, 0.0)
 
 

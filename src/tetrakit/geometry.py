@@ -223,22 +223,24 @@ def in_distinguished_boundary(
     )
 
 
-def sample_bE(count: int, seed: int) -> list[Point3]:
-    """Deterministic sample of distinguished-boundary points.
-
-    Draws b uniformly from the closed unit disk and t from the unit circle,
-    and returns (conj(b) t, b, t); every output satisfies the boundary
-    criterion by construction.
-    """
+def _sample_bE_array(count: int, seed: int) -> np.ndarray:
+    """The points of sample_bE as rows (a, b, t) of a (count, 3) array."""
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     radii = np.sqrt(rng.uniform(0.0, 1.0, size=count))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
     t_angles = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    points = []
-    for r, ang, ta in zip(radii, angles, t_angles):
-        b = r * cmath.exp(1j * ang)
-        t = cmath.exp(1j * ta)
-        points.append(Point3(b.conjugate() * t, b, t))
-    return points
+    b = radii * np.exp(1j * angles)
+    t = np.exp(1j * t_angles)
+    return np.stack([b.conj() * t, b, t], axis=1)
+
+
+def sample_bE(count: int, seed: int) -> list[Point3]:
+    """Deterministic sample of distinguished-boundary points.
+
+    Draws b uniformly from the closed unit disk and t from the unit circle,
+    and returns (conj(b) t, b, t); every output satisfies the boundary
+    criterion by construction.  Wraps the array core _sample_bE_array.
+    """
+    return [Point3(*row) for row in _sample_bE_array(count, seed)]

@@ -514,19 +514,22 @@ def _unitary_candidates(
 
     The system acts on the column-major vecs of unknown blocks of the given
     shapes, stacked in order.  Candidates are the last right singular vector
-    and eight seeded combinations of the near-null basis; each block is
+    and eight seeded combinations of the near-null basis, which for a wide
+    system includes the directions beyond its rows; each block is
     polar-corrected, and a candidate with a numerically singular block is
     dropped.  Callers keep the candidate whose verified residual is smallest.
     """
-    _, svals, vh = np.linalg.svd(system)
+    # The full vh is needed only for a wide system, whose null space has
+    # directions beyond its rows; a tall system's U would be discarded.
+    _, svals, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
     right = vh.conj()  # rows of vh are conjugated right singular vectors
     vectors = [right[-1]]
-    null_dim = int(np.sum(svals <= 1e-7 * max(1.0, svals[0]))) if svals.size else 0
-    if null_dim > 1:
+    rank = int(np.sum(svals > 1e-7 * max(1.0, svals[0]))) if svals.size else 0
+    basis = right[rank:]
+    if len(basis) > 1:
         rng = np.random.default_rng(11)
-        basis = right[len(svals) - null_dim:]
         for _ in range(8):
-            coeffs = rng.standard_normal(null_dim) + 1j * rng.standard_normal(null_dim)
+            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             vectors.append(coeffs @ basis)
     cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
     candidates = []

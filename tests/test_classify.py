@@ -1,11 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetrakit import classify as cl
 from tetrakit import gen
-from tetrakit.errors import DimensionError
-from tetrakit.gen import GenConfig
-from tetrakit.matkernel import commutator, operator_norm, spectral_radius
+from tetrakit import geometry as geo
+from tetrakit.errors import DimensionError, NotCommutingError
+from tetrakit.gen import ClassTag, GenConfig
+from tetrakit.matkernel import (
+    DEFAULT_TOL,
+    commutator,
+    joint_eigenvalues,
+    operator_norm,
+    spectral_radius,
+)
 
 
 def nilpotent_pair():
@@ -118,6 +129,112 @@ class TestCertifier:
             trip = gen.gen_strict_e_unitary(GenConfig(seed=seed, dim=3))
             frag = cl.certify_e_contraction(trip, mc_samples=24, seed=seed)
             assert frag["certificate"] is cl.Certificate.PASSED_NECESSARY, frag["failed"]
+
+
+def pointwise_certify(trip, mc_samples=64, seed=0, boundary_samples=2048):
+    """The certifier written point by point: one Mobius pencil per z, one
+    polynomial at a time, each boundary point as a Point3."""
+    tol = DEFAULT_TOL
+    residuals, failed = {}, []
+    commuting, _ = cl.is_commuting(trip, tol)
+    if not commuting:
+        failed.append("commutativity")
+    norms = [operator_norm(m) for m in (trip.a, trip.b, trip.t)]
+    if any(v > 1.0 + tol.eq_tol for v in norms):
+        failed.append("norm_bound")
+    if commuting:
+        eye = np.eye(trip.dim)
+        worst = 0.0
+        for radius in (0.9, 0.99, 1.0):
+            for k in range(128):
+                z = radius * np.exp(2j * np.pi * k / 128)
+                for first, second in ((trip.a, trip.b), (trip.b, trip.a)):
+                    pencil = eye - z * second
+                    small = np.linalg.svd(pencil, compute_uv=False)[-1]
+                    if small < 1e-8 * (1.0 + operator_norm(second)):
+                        continue
+                    x = np.linalg.solve(pencil.T, (first - z * trip.t).T).T
+                    worst = max(worst, operator_norm(x))
+        residuals["mobius_sup"] = worst
+        if worst > 1.0 + 100.0 * tol.eq_tol:
+            failed.append("mobius_contractivity")
+        try:
+            tuples = joint_eigenvalues([trip.a, trip.b, trip.t], tol)
+        except NotCommutingError:
+            tuples = []
+            failed.append("joint_spectrum")
+        inside = [t for t in tuples if geo.in_tetrablock(geo.Point3(*t), tol).in_closure]
+        if len(inside) < len(tuples):
+            failed.append("joint_spectrum")
+        if "norm_bound" not in failed and tuples:
+            rng = np.random.default_rng(seed)
+            pts = np.array(
+                [[q.a, q.b, q.t] for q in geo.sample_bE(boundary_samples, seed + 1)]
+                + [list(t) for t in inside],
+                dtype=complex,
+            )
+            exps = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+            pw = [[np.linalg.matrix_power(m, p) for p in range(4)] for m in (trip.a, trip.b, trip.t)]
+            excess = 0.0
+            for _ in range(mc_samples):
+                coeffs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+                op = sum(c * pw[0][i] @ pw[1][j] @ pw[2][k] for c, (i, j, k) in zip(coeffs, exps))
+                vals = sum(c * pts[:, 0] ** i * pts[:, 1] ** j * pts[:, 2] ** k
+                           for c, (i, j, k) in zip(coeffs, exps))
+                mass = sum(abs(c) for c in coeffs)
+                excess = max(excess, operator_norm(op) - np.max(np.abs(vals)) - 10.0 * tol.eq_tol * mass)
+            residuals["von_neumann_excess"] = excess
+            if excess > 0.0:
+                failed.append("von_neumann")
+    return failed, residuals
+
+
+def assert_matches_pointwise(trip, mc_samples=64, seed=0):
+    frag = cl.certify_e_contraction(trip, mc_samples=mc_samples, seed=seed)
+    failed, residuals = pointwise_certify(trip, mc_samples, seed)
+    want = cl.Certificate.CERTIFIED_NOT if failed else cl.Certificate.PASSED_NECESSARY
+    assert frag["certificate"] is want
+    assert frag["failed"] == failed
+    for name, value in residuals.items():
+        assert abs(frag["residuals"][name] - value) <= 1e-12 * max(1.0, abs(value)), name
+    assert ("von_neumann_excess" in frag["residuals"]) == ("von_neumann_excess" in residuals)
+
+
+class TestBatchedCertifier:
+    def test_generator_classes(self):
+        for tag in ClassTag:
+            for n in range(1, 6):
+                if tag is ClassTag.SPECIAL_SCALAR_DATASET:
+                    _, trip = gen.gen_scalar_special_model(GenConfig(seed=n, dim=1))
+                else:
+                    trip = gen.generate(GenConfig(seed=n, dim=n, class_tag=tag))
+                assert_matches_pointwise(trip, seed=n)
+
+    def test_unimodular_eigenvalue_skips_pencils(self):
+        # B has eigenvalue 1, so I - zB is singular at z = 1 on the unit circle.
+        trip = cl.OperatorTriple(np.diag([0.5, 0.2]), np.diag([1.0, 0.3]), np.diag([0.5, 0.06]))
+        assert_matches_pointwise(trip)
+
+    def test_near_unitary_t(self):
+        trip = cl.OperatorTriple(np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1 - 1e-7, 0.5]))
+        assert_matches_pointwise(trip)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+                min_size=3 * n,
+                max_size=3 * n,
+            )
+        ),
+        st.integers(0, 2**16),
+    )
+    def test_commuting_normal_triples(self, entries, seed):
+        n = len(entries) // 3
+        u = gen.haar_unitary(np.random.default_rng(seed), n)
+        a, b, t = (u @ np.diag(entries[k::3]) @ u.conj().T for k in range(3))
+        assert_matches_pointwise(cl.OperatorTriple(a, b, t), mc_samples=16, seed=seed)
 
 
 class TestSymmetrySuite:

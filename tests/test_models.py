@@ -375,6 +375,33 @@ class TestExtractAndCoincide:
             assert rep.coincide, rep.residuals
             assert max(rep.residuals.values()) <= 1e-9
 
+    def test_unitary_candidates_on_wide_system(self):
+        # Seven equations in eight unknowns (two 2x2 blocks): the null space
+        # is spanned by the known unitary pair, and only the full right
+        # singular basis reaches it.
+        rng = np.random.default_rng(23)
+        u1, u2 = gen.haar_unitary(rng, 2), gen.haar_unitary(rng, 2)
+        x = np.concatenate([u1.T.ravel(), u2.T.ravel()])  # column-major vecs
+        m = rng.standard_normal((7, 8)) + 1j * rng.standard_normal((7, 8))
+        system = m - np.outer(m @ x, x.conj()) / np.vdot(x, x)
+        candidates = md._unitary_candidates(system, [(2, 2), (2, 2)])
+        assert candidates
+        first, second = candidates[0]
+        vec = np.concatenate([first.T.ravel(), second.T.ravel()])
+        assert np.linalg.norm(system @ vec) <= 1e-12
+        for block in (first, second):
+            assert np.allclose(block.conj().T @ block, np.eye(2), atol=1e-12)
+
+    def test_unitary_candidates_wide_with_null_directions_beyond_rows(self):
+        # Two equations in five unknowns that both vanish: every direction
+        # is null, and the seeded combinations span all five of them.
+        system = np.zeros((2, 5))
+        candidates = md._unitary_candidates(system, [(2, 2), (1, 1)])
+        assert len(candidates) > 1
+        for first, second in candidates:
+            assert np.allclose(first.conj().T @ first, np.eye(2), atol=1e-12)
+            assert abs(abs(second[0, 0]) - 1.0) <= 1e-12
+
     def test_distinct_theta_zero_spectra_rejected(self):
         d1 = md.extract_data_set(scalar_triple(0.2, 0.3, 0.4), grid=8)
         d2 = md.extract_data_set(scalar_triple(0.2, 0.3, 0.7), grid=8)
