@@ -519,9 +519,8 @@ def _unitary_candidates(
     polar-corrected, and a candidate with a numerically singular block is
     dropped.  Callers keep the candidate whose verified residual is smallest.
     """
-    # The full vh is needed only for a wide system, whose null space has
-    # directions beyond its rows; a tall system's U would be discarded.
-    _, svals, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
+    # The full vh carries a wide system's null directions beyond its rows.
+    _, svals, vh = np.linalg.svd(system)
     right = vh.conj()  # rows of vh are conjugated right singular vectors
     vectors = [right[-1]]
     rank = int(np.sum(svals > 1e-7 * max(1.0, svals[0]))) if svals.size else 0
