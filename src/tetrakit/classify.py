@@ -277,7 +277,8 @@ def certify_e_contraction(
         worst = 0.0
         count = max(tol.grid_points // 4, 64)
         phases = np.exp(2j * np.pi * np.arange(count) / count)
-        for radius in (0.9, 0.99, 1.0):
+        # A 0x0 pencil has no smallest singular value; its Mobius maps are empty.
+        for radius in (0.9, 0.99, 1.0) if n else ():
             zs = (radius * phases)[:, None, None]
             for first, second in ((triple.a, triple.b), (triple.b, triple.a)):
                 pencils = eye - zs * second

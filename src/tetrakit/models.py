@@ -408,6 +408,22 @@ def _defect_carriers(t: np.ndarray, tol: Tolerances):
     return d_in, c_in, d_out, c_out
 
 
+def _theta_stack(t: np.ndarray, zs: Sequence[complex], carriers) -> np.ndarray:
+    """Theta at every point of zs as one (Z, out, in) stack: one pencil
+    stack, one batched pole test and solve, one compression."""
+    d_in, c_in, d_out, c_out = carriers
+    n = t.shape[0]
+    zs = np.asarray(zs, dtype=complex)
+    pencils = np.eye(n) - zs[:, None, None] * t.conj().T
+    if n:
+        small = np.linalg.svd(pencils, compute_uv=False)[:, -1]
+        singular = small < 1e-12 * (1.0 + np.abs(zs) * _nrm(t))
+        if singular.any():
+            raise PoleError(f"resolvent singular at z = {complex(zs[np.argmax(singular)])}")
+    core = -t + zs[:, None, None] * (d_out @ np.linalg.solve(pencils, d_in))
+    return c_out.basis.conj().T @ core @ c_in.basis
+
+
 def char_function(
     t_mat,
     z: complex,
@@ -419,23 +435,12 @@ def char_function(
     Uses the resolvent form -T + z D_{T*} (I - z T*)^{-1} D_T compressed to
     the defect carriers (for a scalar t this is the Mobius map
     (z - t)/(1 - conj(t) z)).  A singular resolvent raises PoleError.
+    Wraps the stacked core _theta_stack for a single z.
     """
     t = as_matrix(t_mat, square=True, name="T")
-    n = t.shape[0]
-    z = complex(z)
     if carriers is None:
-        d_in, c_in, d_out, c_out = _defect_carriers(t, tol)
-    else:
-        d_in, c_in, d_out, c_out = carriers
-    pencil = np.eye(n) - z * t.conj().T
-    if n:
-        small = np.linalg.svd(pencil, compute_uv=False)[-1]
-        if small < 1e-12 * (1.0 + abs(z) * _nrm(t)):
-            raise PoleError(f"resolvent singular at z = {z}")
-        core = -t + z * (d_out @ np.linalg.solve(pencil, d_in))
-    else:
-        core = t
-    return c_out.basis.conj().T @ core @ c_in.basis
+        carriers = _defect_carriers(t, tol)
+    return _theta_stack(t, [complex(z)], carriers)[0]
 
 
 def defect_of_theta(
@@ -479,11 +484,8 @@ def extract_data_set(
         )
     else:
         work = triple
-    carriers = _defect_carriers(work.t, tol)
-    samples = [
-        (z, char_function(work.t, z, tol, carriers))
-        for z in theta_sample_points(grid, boundary)
-    ]
+    points = theta_sample_points(grid, boundary)
+    samples = list(zip(points, _theta_stack(work.t, points, _defect_carriers(work.t, tol))))
     gpair = fundamental_pair(work, adjoint=True, tol=tol)
     theta0 = samples[0][1]
     pure = theta0.shape[1] == 0 or _nrm(theta0) < 1.0 - tol.eq_tol
@@ -500,6 +502,11 @@ def _match_samples(d1: TetrablockDataSet, d2: TetrablockDataSet):
         if key in lookup:
             pairs.append((m, lookup[key]))
     return pairs
+
+
+def _max_nrm(stack: np.ndarray) -> float:
+    """Largest operator norm in a (P, rows, cols) stack; 0.0 if it is empty."""
+    return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)))) if stack.size else 0.0
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -519,8 +526,9 @@ def _unitary_candidates(
     polar-corrected, and a candidate with a numerically singular block is
     dropped.  Callers keep the candidate whose verified residual is smallest.
     """
-    # The full vh carries a wide system's null directions beyond its rows.
-    _, svals, vh = np.linalg.svd(system)
+    # A tall system's economy vh is already square, so U is skipped; a wide
+    # system needs the full vh, whose rows beyond its own carry null directions.
+    _, svals, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
     right = vh.conj()  # rows of vh are conjugated right singular vectors
     vectors = [right[-1]]
     rank = int(np.sum(svals > 1e-7 * max(1.0, svals[0]))) if svals.size else 0
@@ -552,6 +560,9 @@ def coincide(
     samples and the fundamental pairs, and an independent unitary omega
     intertwining the residual triples; all candidates come from a joint
     least-squares nullspace with polar correction and are re-verified.
+    The matched samples are stacked once: the candidate system is assembled
+    from the stack in one call and solved by an economy SVD when it is
+    tall, and each candidate is checked by one batched norm.
     A negative verdict carries residuals; residuals between tol and
     sqrt(tol) are flagged undecided.  Residual-space coordinates are only
     determined up to a fixed unitary, so omega is searched, not induced.
@@ -567,11 +578,9 @@ def coincide(
         report.note = "sample grids do not overlap"
         return report
 
-    scale = 1.0 + max(
-        [_nrm(m) for m, _ in pairs]
-        + [_nrm(d1.g1), _nrm(d1.g2), _nrm(d2.g1), _nrm(d2.g2)]
-        + [0.0]
-    )
+    m1s = np.array([m1 for m1, _ in pairs]).reshape(len(pairs), out1, in1)
+    m2s = np.array([m2 for _, m2 in pairs]).reshape(len(pairs), out2, in2)
+    scale = 1.0 + max(_max_nrm(m1s), _nrm(d1.g1), _nrm(d1.g2), _nrm(d2.g1), _nrm(d2.g2))
     bound = tol.eq_tol * scale
 
     # Defect part: unknowns phi (in2 x in1) and phi_star (out2 x out1).
@@ -582,16 +591,12 @@ def coincide(
         theta_res = 0.0
         fund_res = 0.0
     else:
-        blocks = []
-        for m1, m2 in pairs:
-            blocks.append(
-                np.hstack(
-                    [
-                        -np.kron(np.eye(in1), m2),  # acts on vec(phi), column-major
-                        np.kron(m1.T, np.eye(out2)),  # acts on vec(phi_star)
-                    ]
-                )
-            )
+        # Row blocks [-(I kron m2_p) | (m1_p^T kron I)] for all samples p; they
+        # act on vec(phi) and vec(phi_star), column-major.
+        rows = len(pairs) * in1 * out2
+        on_phi = -np.einsum("ij,pab->piajb", np.eye(in1), m2s).reshape(rows, in1 * in2)
+        on_star = np.einsum("pji,ab->piajb", m1s, np.eye(out2)).reshape(rows, out1 * out2)
+        blocks = [np.hstack([on_phi, on_star])]
         for g_a, g_b in ((d1.g1, d2.g1), (d1.g2, d2.g2)):
             blocks.append(
                 np.hstack(
@@ -605,9 +610,7 @@ def coincide(
         fund_res = math.inf
         shapes = [(in2, in1), (out2, out1)]
         for phi_c, star_c in _unitary_candidates(np.vstack(blocks), shapes):
-            t_res = max(
-                (_nrm(star_c @ m1 - m2 @ phi_c) for m1, m2 in pairs), default=0.0
-            )
+            t_res = _max_nrm(star_c @ m1s - m2s @ phi_c)
             f_res = max(
                 _nrm(star_c @ d1.g1 - d2.g1 @ star_c),
                 _nrm(star_c @ d1.g2 - d2.g2 @ star_c),

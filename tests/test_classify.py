@@ -104,6 +104,17 @@ class TestCertifier:
             frag = cl.certify_e_contraction(trip, mc_samples=16, seed=seed)
             assert frag["certificate"] is cl.Certificate.PASSED_NECESSARY
 
+    def test_empty_triple(self):
+        empty = np.zeros((0, 0))
+        trip = cl.OperatorTriple(empty, empty, empty)
+        frag = cl.certify_e_contraction(trip)
+        assert frag["certificate"] is cl.Certificate.PASSED_NECESSARY
+        assert frag["failed"] == []
+        assert frag["residuals"]["mobius_sup"] == 0.0
+        report = cl.classify_triple(trip)
+        assert report.contraction_certificate is cl.Certificate.PASSED_NECESSARY
+        assert report.failed_checks == []
+
     def test_norm_violation(self):
         trip = cl.OperatorTriple(1.2 * np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
         frag = cl.certify_e_contraction(trip)

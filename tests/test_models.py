@@ -1,16 +1,20 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetrakit import classify as cl
 from tetrakit import fundops as fo
 from tetrakit import gen
 from tetrakit import models as md
-from tetrakit.errors import PoleError, PreconditionError
-from tetrakit.gen import GenConfig
-from tetrakit.matkernel import operator_norm, spectral_radius
+from tetrakit.errors import NotCommutingError, PoleError, PreconditionError
+from tetrakit.gen import ClassTag, GenConfig
+from tetrakit.matkernel import DEFAULT_TOL, compress, operator_norm, spectral_radius
+from tetrakit.matkernel import _norm_or_zero as _nrm
 
 
 def scalar_triple(a, b, t):
@@ -30,6 +34,18 @@ def mixed_triple(seed, pure_dim=2, unitary_dim=2, conjugate=True):
         rng = np.random.default_rng(seed + 1000)
         trip = trip.conjugate_by(gen.haar_unitary(rng, pure_dim + unitary_dim))
     return trip
+
+
+def nonnormal_triple(seed, pure_dim, unitary_dim=0):
+    """(0, 0, T) with T a random non-normal contraction of norm 0.8 plus a
+    diagonal unitary block, Haar-conjugated; its Theta samples are not
+    complex symmetric, unlike those of the normal-based generators."""
+    rng = np.random.default_rng([seed, pure_dim, unitary_dim])
+    g = rng.standard_normal((pure_dim, pure_dim)) + 1j * rng.standard_normal((pure_dim, pure_dim))
+    w = np.exp(2j * np.pi * rng.uniform(size=unitary_dim))
+    t = scipy.linalg.block_diag(0.8 * g / operator_norm(g), np.diag(w))
+    zero = np.zeros_like(t)
+    return cl.OperatorTriple(zero, zero, t).conjugate_by(gen.haar_unitary(rng, t.shape[0]))
 
 
 class TestComputeQ:
@@ -304,6 +320,52 @@ class TestCharFunction:
             md.char_function(np.array([[1.0]]), 1.0)
 
 
+def pointwise_theta_samples(trip, grid):
+    """Theta samples of extract_data_set taken one char_function call at a
+    time, on T compressed to its completely non-unitary part as there."""
+    t = trip.t
+    if md.residual_triple(trip).dim:
+        t = compress(t, md.compute_Q(trip.t).complement)
+    return [(z, md.char_function(t, z)) for z in md.theta_sample_points(grid, 2 * grid)]
+
+
+def assert_theta_matches_pointwise(trip, grid):
+    ds = md.extract_data_set(trip, grid=grid)
+    reference = pointwise_theta_samples(trip, grid)
+    assert [z for z, _ in ds.theta_samples] == [z for z, _ in reference]
+    for (_, got), (_, want) in zip(ds.theta_samples, reference):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+class TestStackedTheta:
+    def test_generator_classes(self):
+        for tag in ClassTag:
+            for n in range(1, 7):
+                if tag is ClassTag.SPECIAL_SCALAR_DATASET:
+                    _, trip = gen.gen_scalar_special_model(GenConfig(seed=n, dim=1))
+                else:
+                    trip = gen.generate(GenConfig(seed=n, dim=n, class_tag=tag))
+                try:
+                    assert_theta_matches_pointwise(trip, grid=8)
+                except NotCommutingError:
+                    # fundamental_pair rejects the non-commuting controls
+                    # after sampling, so no data set carries their samples.
+                    assert tag is ClassTag.NON_EXAMPLE
+
+    def test_mixed_and_nonnormal_triples(self):
+        for seed in range(3):
+            assert_theta_matches_pointwise(mixed_triple(seed, 3, 2), grid=8)
+            assert_theta_matches_pointwise(nonnormal_triple(seed, 4), grid=8)
+            assert_theta_matches_pointwise(nonnormal_triple(seed, 3, 2), grid=8)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(0, 2**16), st.integers(1, 12))
+    def test_random_pure_triples(self, n, seed, grid):
+        trip = gen.gen_pure_e_contraction(GenConfig(seed=seed, dim=n))
+        assert_theta_matches_pointwise(trip, grid)
+
+
 class TestDefectOfTheta:
     def test_t_zero(self):
         delta = md.defect_of_theta(np.zeros((2, 2)), 1.0)
@@ -407,6 +469,158 @@ class TestExtractAndCoincide:
         d2 = md.extract_data_set(scalar_triple(0.2, 0.3, 0.7), grid=8)
         rep = md.coincide(d1, d2)
         assert not rep.coincide
+
+
+def reference_candidates(system, shapes):
+    """The unitary-candidate search with a full SVD: last right singular
+    vector plus eight seeded combinations of the near-null basis, each
+    block polar-corrected, numerically singular candidates dropped."""
+    _, svals, vh = np.linalg.svd(system)
+    right = vh.conj()
+    vectors = [right[-1]]
+    rank = int(np.sum(svals > 1e-7 * max(1.0, svals[0]))) if svals.size else 0
+    basis = right[rank:]
+    if len(basis) > 1:
+        rng = np.random.default_rng(11)
+        for _ in range(8):
+            coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+            vectors.append(coeffs @ basis)
+    candidates = []
+    for vec in vectors:
+        blocks, start = [], 0
+        for rows, cols in shapes:
+            blocks.append(vec[start:start + rows * cols].reshape(cols, rows).T)
+            start += rows * cols
+        if any(min(b.shape) and np.linalg.svd(b, compute_uv=False)[-1] < 1e-8 for b in blocks):
+            continue
+        polar = []
+        for b in blocks:
+            if min(b.shape):
+                u, _, w = np.linalg.svd(b)
+                b = u @ w
+            polar.append(b)
+        candidates.append(polar)
+    return candidates
+
+
+def kronecker_coincide(d1, d2, tol=DEFAULT_TOL):
+    """coincide with one np.kron row block per matched sample, a full SVD
+    and one _nrm per pair; returns (coincide, undecided, note, residuals,
+    scale)."""
+    in1, out1 = d1.defect_dims
+    in2, out2 = d2.defect_dims
+    if (in1, out1) != (in2, out2) or d1.residual.dim != d2.residual.dim:
+        return False, False, "dimension mismatch", {}, 1.0
+    pairs = md._match_samples(d1, d2)
+    if d1.theta_samples and len(pairs) < min(3, len(d1.theta_samples)):
+        return False, False, "sample grids do not overlap", {}, 1.0
+    scale = 1.0 + max(
+        [_nrm(m) for m, _ in pairs]
+        + [_nrm(d1.g1), _nrm(d1.g2), _nrm(d2.g1), _nrm(d2.g2)]
+        + [0.0]
+    )
+    theta_res = fund_res = 0.0
+    if in1 or out1:
+        blocks = [
+            np.hstack([-np.kron(np.eye(in1), m2), np.kron(m1.T, np.eye(out2))])
+            for m1, m2 in pairs
+        ]
+        for g_a, g_b in ((d1.g1, d2.g1), (d1.g2, d2.g2)):
+            blocks.append(
+                np.hstack([
+                    np.zeros((out2 * out1, in2 * in1)),
+                    np.kron(g_a.T, np.eye(out2)) - np.kron(np.eye(out1), g_b),
+                ])
+            )
+        theta_res = fund_res = math.inf
+        system = np.vstack(blocks)
+        for phi, star in reference_candidates(system, [(in2, in1), (out2, out1)]):
+            t_res = max((_nrm(star @ m1 - m2 @ phi) for m1, m2 in pairs), default=0.0)
+            f_res = max(_nrm(star @ d1.g1 - d2.g1 @ star), _nrm(star @ d1.g2 - d2.g2 @ star))
+            if max(t_res, f_res) < max(theta_res, fund_res):
+                theta_res, fund_res = t_res, f_res
+    residuals = {"theta": theta_res, "fundamental": fund_res}
+    res_res = 0.0
+    rdim = d1.residual.dim
+    if rdim:
+        res_pairs = [(getattr(d1.residual, k), getattr(d2.residual, k)) for k in "rsw"]
+        eye = np.eye(rdim)
+        system = np.vstack([np.kron(x.T, eye) - np.kron(eye, y) for x, y in res_pairs])
+        res_res = min(
+            (max(_nrm(c @ x - y @ c) for x, y in res_pairs)
+             for (c,) in reference_candidates(system, [(rdim, rdim)])),
+            default=math.inf,
+        )
+    residuals["residual"] = res_res
+    if res_res == math.inf:
+        return False, False, "no unitary intertwines the residual triples", residuals, scale
+    worst = max(residuals.values())
+    if worst <= tol.eq_tol * scale:
+        return True, False, "", residuals, scale
+    if worst <= math.sqrt(tol.eq_tol) * scale:
+        note = "residuals between tol and sqrt(tol); verdict unreliable"
+        return False, True, note, residuals, scale
+    return False, False, "", residuals, scale
+
+
+def assert_coincide_matches_kronecker(d1, d2):
+    rep = md.coincide(d1, d2)
+    want, undecided, note, residuals, scale = kronecker_coincide(d1, d2)
+    assert (rep.coincide, rep.undecided, rep.note) == (want, undecided, note)
+    assert rep.residuals.keys() == residuals.keys()
+    for key, value in residuals.items():
+        assert rep.residuals[key] == value or abs(rep.residuals[key] - value) <= 1e-12 * scale, key
+    return rep
+
+
+class TestCoincideAgainstKronecker:
+    def test_mixed_pairs_conjugated(self):
+        for pure_dim, unitary_dim in ((2, 2), (4, 4)):
+            for seed in range(3):
+                trip = mixed_triple(seed, pure_dim, unitary_dim)
+                u = gen.haar_unitary(np.random.default_rng(seed + 7000), trip.dim)
+                d1 = md.extract_data_set(trip, grid=8)
+                d2 = md.extract_data_set(trip.conjugate_by(u), grid=8)
+                assert assert_coincide_matches_kronecker(d1, d2).coincide
+
+    def test_pure_pairs_conjugated(self):
+        for n in (8, 10):
+            trip = gen.gen_pure_e_contraction(GenConfig(seed=n, dim=n))
+            u = gen.haar_unitary(np.random.default_rng(n + 7000), n)
+            d1 = md.extract_data_set(trip, grid=8)
+            d2 = md.extract_data_set(trip.conjugate_by(u), grid=8)
+            assert assert_coincide_matches_kronecker(d1, d2).coincide
+
+    def test_nonnormal_pairs_conjugated(self):
+        for trip in (nonnormal_triple(1, 6), nonnormal_triple(2, 3, 2)):
+            n = trip.dim
+            u = gen.haar_unitary(np.random.default_rng(n + 7000), n)
+            d1 = md.extract_data_set(trip, grid=8)
+            d2 = md.extract_data_set(trip.conjugate_by(u), grid=8)
+            assert assert_coincide_matches_kronecker(d1, d2).coincide
+
+    def test_mismatched_scalar_pairs(self):
+        for t1, t2 in ((0.3, 0.6), (0.15, 0.85)):
+            d1 = md.extract_data_set(scalar_triple(0.2, 0.1, t1), grid=8)
+            d2 = md.extract_data_set(scalar_triple(0.2, 0.1, t2), grid=8)
+            assert not assert_coincide_matches_kronecker(d1, d2).coincide
+
+    def test_special_set_against_model_data(self):
+        dataset, trip = gen.gen_scalar_special_model(GenConfig(seed=3, dim=1))
+        extracted = md.extract_data_set(trip, grid=16, boundary=128)
+        assert assert_coincide_matches_kronecker(dataset, extracted).coincide
+
+    def test_data_sets_without_theta_samples(self):
+        # Empty sample stacks: only the fundamental pairs and the residual
+        # triples constrain the unitaries.
+        trip = mixed_triple(5)
+        u = gen.haar_unitary(np.random.default_rng(5), trip.dim)
+        sets = []
+        for source in (trip, trip.conjugate_by(u)):
+            ds = md.extract_data_set(source, grid=8)
+            sets.append(md.TetrablockDataSet([], ds.g1, ds.g2, ds.residual, ds.pure_flag))
+        assert sets[0].defect_dims == (0, 2)
+        assert assert_coincide_matches_kronecker(*sets).coincide
 
 
 class TestOmegaTau:
