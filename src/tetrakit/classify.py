@@ -5,20 +5,21 @@ isometries (A = B*T with T isometric and B contractive), their
 pseudo-commutative relaxations (A, B commute with T but not necessarily
 with each other), a one-sided necessary-condition certifier for tetrablock
 contractions, and the canonical splitting into a unitary and a completely
-non-unitary part.
+non-unitary part, decided by the limit projection Q of ``compute_Q``.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import geometry
-from .errors import DimensionError, NotCommutingError
+from .errors import DimensionError, NotCommutingError, PreconditionError
 from .matkernel import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -35,12 +36,14 @@ __all__ = [
     "Certificate",
     "ClassificationReport",
     "DecompositionResult",
+    "QLimit",
     "is_commuting",
     "check_e_isometry",
     "check_pc",
     "certify_e_contraction",
     "classify_triple",
     "canonical_decomposition",
+    "compute_Q",
 ]
 
 
@@ -114,6 +117,22 @@ class ClassificationReport:
         assert not self.e_unitary or self.e_isometry
         assert not self.e_isometry or self.pc_isometry
         assert not self.e_unitary or self.pc_unitary
+
+
+@dataclass
+class QLimit:
+    """Strong limit of T^n T^{*n} together with its range.
+
+    In finite dimensions the limit is the orthogonal projection onto the
+    subspace where T acts unitarily; eigenvalues of the computed limit are
+    snapped to {0, 1} and the snap distance is recorded as ``deviation``.
+    """
+
+    q: np.ndarray = field(repr=False)
+    carrier: SubspaceBasis
+    complement: SubspaceBasis
+    deviation: float
+    converged: bool
 
 
 @dataclass
@@ -376,37 +395,62 @@ def classify_triple(
     )
 
 
+def compute_Q(t_mat, tol: Tolerances = DEFAULT_TOL) -> QLimit:
+    """Limit projection Q^2 = lim T^n T^{*n} for a contraction T.
+
+    This is the one rule that decides the unitary part of T: its carrier is
+    H_u for canonical_decomposition, and through it for residual_triple,
+    build_lift and extract_data_set.  The monotone-decreasing sequence is
+    driven by power doubling (P_{2k} = T^k P_k T^{*k}), stopping when
+    consecutive iterates differ by at most psd_tol or the equivalent power
+    count exceeds max_power_iters.  The limit's eigenvalues are snapped to
+    {0, 1}; a snap distance above 100 * psd_tol is reported as
+    non-convergence rather than hidden.
+    """
+    t = as_matrix(t_mat, square=True, name="T")
+    n = t.shape[0]
+    if _nrm(t) > 1.0 + 10.0 * tol.psd_tol:
+        raise PreconditionError(f"||T|| = {_nrm(t):.6f} exceeds 1")
+    if n == 0:
+        empty = SubspaceBasis(0, np.zeros((0, 0), dtype=complex))
+        return QLimit(t.copy(), empty, empty, 0.0, True)
+    power = t.copy()
+    p_cur = power @ power.conj().T
+    diff = math.inf
+    steps = 0
+    while steps < 64 and (1 << steps) < tol.max_power_iters:
+        power = power @ power
+        p_next = power @ power.conj().T
+        diff = _nrm(p_next - p_cur)
+        p_cur = p_next
+        steps += 1
+        if diff <= tol.psd_tol:
+            break
+    w, v = np.linalg.eigh(0.5 * (p_cur + p_cur.conj().T))
+    deviation = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0))))
+    mask = w >= 0.5
+    q = v[:, mask] @ v[:, mask].conj().T
+    carrier = SubspaceBasis(n, v[:, mask])
+    complement = SubspaceBasis(n, v[:, ~mask])
+    converged = diff <= 100.0 * tol.psd_tol and deviation <= 100.0 * tol.psd_tol
+    return QLimit(q, carrier, complement, deviation, converged)
+
+
 def canonical_decomposition(
     triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL
 ) -> DecompositionResult:
     """Split the space into the maximal T-unitary part and its complement.
 
-    H_u is computed as the joint kernel of I - T^{*k} T^k and
-    I - T^k T^{*k} for k = 1..n (stabilization is guaranteed at the
-    dimension).  For genuine tetrablock contractions this subspace reduces
-    A and B as well; the reduction residuals are reported, not assumed.
+    H_u and H_cnu are the carrier and complement of compute_Q's limit
+    projection, so T must be a contraction; ``q_deviation`` records the
+    limit's snap distance.  No second rule (such as a joint kernel of
+    I - T^{*k} T^k and I - T^k T^{*k}) is consulted, so every consumer of
+    the unitary part splits a triple the same way.  For genuine tetrablock
+    contractions H_u reduces A and B as well; the reduction residuals are
+    reported, not assumed.
     """
-    n = triple.dim
-    eye = np.eye(n)
-    blocks = []
-    tk = eye
-    for _ in range(n):
-        tk = tk @ triple.t
-        blocks.append(eye - tk.conj().T @ tk)
-        blocks.append(eye - tk @ tk.conj().T)
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, n))
-    if stacked.shape[0] == 0 or n == 0:
-        u_basis = np.eye(n, dtype=complex)
-        c_basis = np.zeros((n, 0), dtype=complex)
-    else:
-        _, s, vh = np.linalg.svd(stacked)
-        cutoff = tol.psd_tol * max(1.0, s[0] if s.size else 0.0)
-        rank = int(np.sum(s > cutoff))
-        right = vh.conj().T
-        u_basis = right[:, rank:]
-        c_basis = right[:, :rank]
-    h_u = SubspaceBasis(n, u_basis)
-    h_cnu = SubspaceBasis(n, c_basis)
+    ql = compute_Q(triple.t, tol)
+    h_u, h_cnu = ql.carrier, ql.complement
 
     unitary_part = OperatorTriple(
         compress(triple.a, h_u), compress(triple.b, h_u), compress(triple.t, h_u)
@@ -415,7 +459,7 @@ def canonical_decomposition(
         compress(triple.a, h_cnu), compress(triple.b, h_cnu), compress(triple.t, h_cnu)
     )
 
-    residuals: dict[str, float] = {}
+    residuals: dict[str, float] = {"q_deviation": ql.deviation}
     if h_u.dim:
         tu = unitary_part.t
         eye_u = np.eye(h_u.dim)

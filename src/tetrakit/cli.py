@@ -238,13 +238,7 @@ def run(job: JobSpec) -> int:
     except InternalConsistencyError as exc:
         print(f"internal-consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (SchemaError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except TetrakitError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (TetrakitError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -104,11 +104,6 @@ def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _check_same_square(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise DimensionError(f"size mismatch: {x.shape} vs {y.shape}")
-
-
 def operator_norm(m) -> float:
     """Largest singular value of m.
 
@@ -214,7 +209,8 @@ def commutator(x, y) -> np.ndarray:
     """Commutator XY - YX of two equal-size square matrices."""
     a = as_matrix(x, square=True)
     b = as_matrix(y, square=True)
-    _check_same_square(a, b)
+    if a.shape != b.shape:
+        raise DimensionError(f"size mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
 
 

@@ -20,7 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .classify import OperatorTriple
+from .classify import (
+    DecompositionResult,
+    OperatorTriple,
+    QLimit,
+    canonical_decomposition,
+    compute_Q,
+)
 from .errors import (
     DimensionError,
     InconsistentInputError,
@@ -40,7 +46,6 @@ from .matkernel import (
     Tolerances,
     as_matrix,
     commutator,
-    compress,
     psd_sqrt,
 )
 from .matkernel import _norm_or_zero as _nrm
@@ -70,22 +75,6 @@ __all__ = [
 
 _MAX_ORDER = 512
 _ORDER_TAIL_TARGET = 1e-10
-
-
-@dataclass
-class QLimit:
-    """Strong limit of T^n T^{*n} together with its range.
-
-    In finite dimensions the limit is the orthogonal projection onto the
-    subspace where T acts unitarily; eigenvalues of the computed limit are
-    snapped to {0, 1} and the snap distance is recorded as ``deviation``.
-    """
-
-    q: np.ndarray = field(repr=False)
-    carrier: SubspaceBasis
-    complement: SubspaceBasis
-    deviation: float
-    converged: bool
 
 
 @dataclass
@@ -172,64 +161,31 @@ class CoincidenceReport:
     note: str = ""
 
 
-def compute_Q(t_mat, tol: Tolerances = DEFAULT_TOL) -> QLimit:
-    """Limit projection Q^2 = lim T^n T^{*n} for a contraction T.
-
-    The monotone-decreasing sequence is driven by power doubling
-    (P_{2k} = T^k P_k T^{*k}), stopping when consecutive iterates differ by
-    at most psd_tol or the equivalent power count exceeds max_power_iters.
-    The limit's eigenvalues are snapped to {0, 1}; a snap distance above
-    100 * psd_tol is reported as non-convergence rather than hidden.
-    """
-    t = as_matrix(t_mat, square=True, name="T")
-    n = t.shape[0]
-    if _nrm(t) > 1.0 + 10.0 * tol.psd_tol:
-        raise PreconditionError(f"||T|| = {_nrm(t):.6f} exceeds 1")
-    if n == 0:
-        empty = SubspaceBasis(0, np.zeros((0, 0), dtype=complex))
-        return QLimit(t.copy(), empty, empty, 0.0, True)
-    power = t.copy()
-    p_cur = power @ power.conj().T
-    diff = math.inf
-    steps = 0
-    while steps < 64 and (1 << steps) < tol.max_power_iters:
-        power = power @ power
-        p_next = power @ power.conj().T
-        diff = _nrm(p_next - p_cur)
-        p_cur = p_next
-        steps += 1
-        if diff <= tol.psd_tol:
-            break
-    w, v = np.linalg.eigh(0.5 * (p_cur + p_cur.conj().T))
-    deviation = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0)))) if n else 0.0
-    mask = w >= 0.5
-    q = (v[:, mask] @ v[:, mask].conj().T) if mask.any() else np.zeros((n, n), dtype=complex)
-    carrier = SubspaceBasis(n, v[:, mask])
-    complement = SubspaceBasis(n, v[:, ~mask])
-    converged = diff <= 100.0 * tol.psd_tol and deviation <= 100.0 * tol.psd_tol
-    return QLimit(q, carrier, complement, deviation, converged)
-
-
 def residual_triple(
     triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL
 ) -> ResidualTriple:
     """Compress (A, B, T) to the unitary part of T.
 
-    On the carrier of Q the intertwining W* Q = Q T* defines W as the
-    compression of T, and likewise for A, B; W must come out unitary (a
-    failure means the input was not a tetrablock contraction).  The strict
-    flag is set when R, S commute and are contractions.
+    The unitary part is canonical_decomposition's H_u, the carrier of
+    compute_Q's limit projection; W is the compression of T to it, and R, S
+    those of A, B.  W must come out unitary (a failure means the input was
+    not a tetrablock contraction).  The strict flag is set when R, S commute
+    and are contractions.
     """
-    ql = compute_Q(triple.t, tol)
-    basis = ql.carrier
+    return _residual_part(triple, canonical_decomposition(triple, tol), tol)
+
+
+def _residual_part(
+    triple: OperatorTriple, dec: DecompositionResult, tol: Tolerances
+) -> ResidualTriple:
+    """The residual triple of one decomposition; its invariance residuals
+    are the decomposition's reduction residuals."""
+    basis = dec.h_u
     rdim = basis.dim
-    scale = triple.scale_norm()
     if rdim == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return ResidualTriple(empty, empty, empty, basis, True, {"q_rank": 0.0})
-    r = compress(triple.a, basis)
-    s = compress(triple.b, basis)
-    w = compress(triple.t, basis)
+    r, s, w = dec.unitary_part.a, dec.unitary_part.b, dec.unitary_part.t
     eye = np.eye(rdim)
     res = {
         "w_isometry": _nrm(w.conj().T @ w - eye),
@@ -237,13 +193,11 @@ def residual_triple(
         "pc_rw": _nrm(commutator(r, w)),
         "pc_sw": _nrm(commutator(s, w)),
         "pc_r_eq_sstar_w": _nrm(r - s.conj().T @ w),
-        "q_deviation": ql.deviation,
+        "q_deviation": dec.residuals["q_deviation"],
+        "invariance_a": dec.residuals["reduce_a"],
+        "invariance_b": dec.residuals["reduce_b"],
     }
-    proj = basis.basis @ basis.basis.conj().T
-    off = np.eye(triple.dim) - proj
-    for name, m in (("a", triple.a), ("b", triple.b)):
-        res[f"invariance_{name}"] = _nrm(proj @ m.conj().T @ off)
-    bound = tol.eq_tol * scale
+    bound = tol.eq_tol * triple.scale_norm()
     if max(res["w_isometry"], res["w_coisometry"]) > bound:
         raise InconsistentInputError(
             f"residual compression of T is not unitary: {res}"
@@ -288,12 +242,19 @@ def observability_embedding(
     ||Pi* Pi - I|| <= ||T^{N+1}||^2; the tail ||D_{T*} T^{*(N+1)}|| governs
     all lift residuals downstream.
     """
+    ql = compute_Q(triple.t, tol)
+    return (*_embedding(triple, n_order, ql.carrier, tol), ql)
+
+
+def _embedding(
+    triple: OperatorTriple, n_order: int, carrier: SubspaceBasis, tol: Tolerances
+):
+    """(embedding, tail, defect_carrier) with the rows of ``carrier*`` at
+    the bottom."""
     if n_order < 0:
         raise PreconditionError("truncation order must be nonnegative")
     d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
-    ql = compute_Q(triple.t, tol)
     n = triple.dim
-    dd = d_carrier.dim
     tstar = triple.t.conj().T
     rows = []
     block = d_carrier.basis.conj().T @ d_op  # defect block in carrier coordinates
@@ -302,9 +263,9 @@ def observability_embedding(
         rows.append(block @ power)
         power = power @ tstar
     tail = _nrm(d_op @ power)
-    bottom = ql.carrier.basis.conj().T
-    pi = np.vstack(rows + [bottom]) if (dd or ql.carrier.dim) else np.zeros((0, n))
-    return pi, tail, d_carrier, ql
+    bottom = carrier.basis.conj().T
+    pi = np.vstack(rows + [bottom]) if (d_carrier.dim or carrier.dim) else np.zeros((0, n))
+    return pi, tail, d_carrier
 
 
 def _block_toeplitz(diag_block: np.ndarray, sub_block: np.ndarray, count: int) -> np.ndarray:
@@ -337,7 +298,7 @@ def build_lift(
             )
     gpair = fundamental_pair(triple, adjoint=True, tol=tol)
     rt = residual_triple(triple, tol)
-    pi, tail, d_carrier, _ = observability_embedding(triple, n_order, tol)
+    pi, tail, d_carrier = _embedding(triple, n_order, rt.carrier, tol)
     d = d_carrier.dim
     blocks = n_order + 1
     g1, g2 = gpair.x1, gpair.x2
@@ -475,15 +436,9 @@ def extract_data_set(
     if grid < 1:
         raise PreconditionError("grid must be positive")
     boundary = 2 * grid if boundary is None else boundary
-    rt = residual_triple(triple, tol)
-    ql = compute_Q(triple.t, tol)
-    if rt.dim:
-        comp = ql.complement
-        work = OperatorTriple(
-            compress(triple.a, comp), compress(triple.b, comp), compress(triple.t, comp)
-        )
-    else:
-        work = triple
+    dec = canonical_decomposition(triple, tol)
+    rt = _residual_part(triple, dec, tol)
+    work = dec.cnu_part if rt.dim else triple
     points = theta_sample_points(grid, boundary)
     samples = list(zip(points, _theta_stack(work.t, points, _defect_carriers(work.t, tol))))
     gpair = fundamental_pair(work, adjoint=True, tol=tol)

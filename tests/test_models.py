@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,62 @@ class TestResidualTriple:
             assert rt.residuals["pc_sw"] <= 1e-9
             assert rt.residuals["pc_r_eq_sstar_w"] <= 1e-9
             assert rt.strict
+
+
+def assert_one_unitary_part(trip):
+    """compute_Q, canonical_decomposition and residual_triple pick the same
+    unitary part of T."""
+    ql = md.compute_Q(trip.t)
+    dec = cl.canonical_decomposition(trip)
+    rt = md.residual_triple(trip)
+    assert ql.carrier.dim == dec.h_u.dim == rt.dim
+    for basis in (dec.h_u.basis, rt.carrier.basis):
+        assert np.allclose(basis @ basis.conj().T, ql.q, atol=1e-12)
+    return rt.dim
+
+
+class TestOneUnitaryPart:
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-11])
+    def test_near_unitary_diagonal(self, eps):
+        zero = np.zeros((2, 2))
+        assert_one_unitary_part(cl.OperatorTriple(zero, zero, np.diag([1.0 - eps, 0.5])))
+
+    def test_haar_conjugated_mixed(self):
+        for seed in range(8):
+            for pure_dim, unitary_dim in ((2, 2), (3, 1), (1, 3)):
+                trip = mixed_triple(seed, pure_dim, unitary_dim)
+                assert assert_one_unitary_part(trip) == unitary_dim
+            assert assert_one_unitary_part(nonnormal_triple(seed, 3, 2)) == 2
+
+
+@pytest.fixture
+def q_calls(monkeypatch):
+    """Count compute_Q calls through every binding in the package."""
+    calls = []
+    original = md.compute_Q
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "tetrakit" or name.startswith("tetrakit.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: mixed_triple(4), lambda: gen.gen_pure_e_contraction(
+    GenConfig(seed=4, dim=3))], ids=["mixed", "pure"])
+@pytest.mark.parametrize("call", [
+    md.residual_triple,
+    lambda trip: md.extract_data_set(trip, grid=4),
+    lambda trip: md.build_lift(trip, n_order=6),
+], ids=["residual_triple", "extract_data_set", "build_lift"])
+def test_compute_q_runs_once_per_call(q_calls, make, call):
+    call(make())
+    assert len(q_calls) == 1
 
 
 class TestEmbedding:
