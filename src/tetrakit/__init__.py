@@ -63,6 +63,7 @@ from .matkernel import (
 from .models import (
     CoincidenceReport,
     DouglasModel,
+    LiftOperator,
     ResidualTriple,
     TetrablockDataSet,
     build_lift,

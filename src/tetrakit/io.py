@@ -171,15 +171,14 @@ def dataset_from_json(obj) -> TetrablockDataSet:
 
 
 def model_to_json(m: DouglasModel) -> dict:
+    """The model's generators; the lift operators v1, v2, v3 are not written,
+    since order_n, g1, g2 and the residual triple determine them."""
     return {
         "order_n": m.order_n,
         "defect_dim": m.defect_dim,
         "g1": matrix_to_json(m.g1),
         "g2": matrix_to_json(m.g2),
         "embedding": matrix_to_json(m.embedding),
-        "v1": matrix_to_json(m.v1),
-        "v2": matrix_to_json(m.v2),
-        "v3": matrix_to_json(m.v3),
         "residual": _residual_to_json(m.residual),
         "tail": m.tail,
         "deficiency": m.deficiency,

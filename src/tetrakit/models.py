@@ -6,6 +6,8 @@ space where powers of T stay isometric.  The embedding stacks the
 observability blocks D_{T*} T^{*n} over the residual projection; the lift
 triple is block Toeplitz in the adjoint fundamental pair (G1, G2) on the
 analytic part and the canonical residual tetrablock unitary on the rest.
+Each lift operator is stored by its generators (LiftOperator) and applied
+blockwise, so a model holds O((N+1) d n) numbers, not O(((N+1) d)^2).
 All guarantees are expressed relative to the truncation tail
 ``||D_{T*} T^{*(N+1)}||``.
 """
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .classify import (
     DecompositionResult,
@@ -53,6 +54,7 @@ from .matkernel import _norm_or_zero as _nrm
 __all__ = [
     "QLimit",
     "ResidualTriple",
+    "LiftOperator",
     "DouglasModel",
     "TetrablockDataSet",
     "CoincidenceReport",
@@ -98,10 +100,60 @@ class ResidualTriple:
         return self.carrier.dim
 
 
+@dataclass(frozen=True, eq=False)
+class LiftOperator:
+    """block_diag(Toeplitz, residual), stored by its generators.
+
+    The Toeplitz part is lower bidiagonal with ``blocks`` block rows of
+    size d: ``diag`` on the diagonal and ``sub`` below it.  Arguments of
+    matvec and rmatvec are arrays whose first axis has blocks * d + r rows,
+    r the size of ``residual``.
+    """
+
+    diag: np.ndarray = field(repr=False)
+    sub: np.ndarray = field(repr=False)
+    blocks: int
+    residual: np.ndarray = field(repr=False)
+
+    def _apply(self, x, diag, sub, residual, lower: bool) -> np.ndarray:
+        """Product with the given blocks; ``lower`` puts ``sub`` below the
+        diagonal (V), otherwise above it (V*)."""
+        x = np.asarray(x)
+        d = diag.shape[0]
+        m = self.blocks * d
+        top = x[:m].reshape(self.blocks, d, int(np.prod(x.shape[1:])))
+        out = diag @ top
+        if lower:
+            out[1:] += sub @ top[:-1]
+        else:
+            out[:-1] += sub @ top[1:]
+        return np.concatenate([out.reshape(m, *x.shape[1:]), residual @ x[m:]])
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """V x: block k is diag x_k + sub x_{k-1}."""
+        return self._apply(x, self.diag, self.sub, self.residual, True)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """V* y: block k is diag* y_k + sub* y_{k+1}."""
+        return self._apply(
+            y, self.diag.conj().T, self.sub.conj().T, self.residual.conj().T, False
+        )
+
+    def dense(self) -> np.ndarray:
+        """The matrix itself, ((blocks d + r) x (blocks d + r))."""
+        return self.matvec(np.eye(self.blocks * self.diag.shape[0] + self.residual.shape[0]))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the generators."""
+        return self.diag.nbytes + self.sub.nbytes + self.residual.nbytes
+
+
 @dataclass
 class DouglasModel:
     """Truncated functional model with its lift triple.
 
+    v1, v2 and v3 are LiftOperators; ``.dense()`` gives one as a matrix.
     The top-degree block of v3* v3 - I is nonzero by construction (the
     truncated shift loses the highest mode); every contract here excludes
     that block and is stated relative to ``tail``.
@@ -112,9 +164,9 @@ class DouglasModel:
     g1: np.ndarray = field(repr=False)
     g2: np.ndarray = field(repr=False)
     embedding: np.ndarray = field(repr=False)
-    v1: np.ndarray = field(repr=False)
-    v2: np.ndarray = field(repr=False)
-    v3: np.ndarray = field(repr=False)
+    v1: LiftOperator
+    v2: LiftOperator
+    v3: LiftOperator
     residual: ResidualTriple
     tail: float
     deficiency: float
@@ -219,12 +271,18 @@ def auto_order(
     because every model guarantee scales with the tail.
     """
     t = as_matrix(t_mat, square=True, name="T")
-    d, _ = defect(t, adjoint=True, tol=tol)
+    return _auto_order(t, defect(t, adjoint=True, tol=tol)[0], target)
+
+
+def _auto_order(
+    t: np.ndarray, d_op: np.ndarray, target: float = _ORDER_TAIL_TARGET
+) -> tuple[int, bool]:
+    """auto_order with D_{T*} given."""
     tstar = t.conj().T
     power = tstar.copy()
     order = 0
     while order < _MAX_ORDER:
-        tail = _nrm(d @ power)
+        tail = _nrm(d_op @ power)
         if tail <= target:
             return order, False
         power = power @ tstar
@@ -243,17 +301,22 @@ def observability_embedding(
     all lift residuals downstream.
     """
     ql = compute_Q(triple.t, tol)
-    return (*_embedding(triple, n_order, ql.carrier, tol), ql)
+    d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
+    pi, tail = _embedding(triple, n_order, ql.carrier, d_op, d_carrier)
+    return pi, tail, d_carrier, ql
 
 
 def _embedding(
-    triple: OperatorTriple, n_order: int, carrier: SubspaceBasis, tol: Tolerances
+    triple: OperatorTriple,
+    n_order: int,
+    carrier: SubspaceBasis,
+    d_op: np.ndarray,
+    d_carrier: SubspaceBasis,
 ):
-    """(embedding, tail, defect_carrier) with the rows of ``carrier*`` at
-    the bottom."""
+    """(embedding, tail) from D_{T*} and its carrier, with the rows of
+    ``carrier*`` at the bottom."""
     if n_order < 0:
         raise PreconditionError("truncation order must be nonnegative")
-    d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
     n = triple.dim
     tstar = triple.t.conj().T
     rows = []
@@ -265,17 +328,7 @@ def _embedding(
     tail = _nrm(d_op @ power)
     bottom = carrier.basis.conj().T
     pi = np.vstack(rows + [bottom]) if (d_carrier.dim or carrier.dim) else np.zeros((0, n))
-    return pi, tail, d_carrier
-
-
-def _block_toeplitz(diag_block: np.ndarray, sub_block: np.ndarray, count: int) -> np.ndarray:
-    """Lower-bidiagonal block Toeplitz truncation with given blocks."""
-    d = diag_block.shape[0]
-    if d == 0 or count == 0:
-        return np.zeros((count * d, count * d), dtype=complex)
-    eye = np.eye(count)
-    sub = np.eye(count, k=-1)
-    return np.kron(eye, diag_block) + np.kron(sub, sub_block)
+    return pi, tail
 
 
 def build_lift(
@@ -288,25 +341,27 @@ def build_lift(
     v3 is the truncated block shift extended by the residual unitary W;
     v1 and v2 are the block-Toeplitz truncations of the multiplication
     operators with symbols G1* + z G2 and G2* + z G1 extended by R and S.
+    All three are LiftOperators.  D_{T*} is computed once and shared by the
+    order search and the embedding.
     """
     warnings: list[str] = []
+    d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
     if n_order is None:
-        n_order, capped = auto_order(triple.t, tol)
+        n_order, capped = _auto_order(triple.t, d_op)
         if capped:
             warnings.append(
                 f"truncation order capped at {_MAX_ORDER}; tail target not met"
             )
     gpair = fundamental_pair(triple, adjoint=True, tol=tol)
     rt = residual_triple(triple, tol)
-    pi, tail, d_carrier = _embedding(triple, n_order, rt.carrier, tol)
+    pi, tail = _embedding(triple, n_order, rt.carrier, d_op, d_carrier)
     d = d_carrier.dim
     blocks = n_order + 1
     g1, g2 = gpair.x1, gpair.x2
 
-    shift = np.kron(np.eye(blocks, k=-1), np.eye(d)) if d else np.zeros((0, 0))
-    v3 = scipy.linalg.block_diag(shift, rt.w)
-    v1 = scipy.linalg.block_diag(_block_toeplitz(g1.conj().T, g2, blocks), rt.r)
-    v2 = scipy.linalg.block_diag(_block_toeplitz(g2.conj().T, g1, blocks), rt.s)
+    v3 = LiftOperator(np.zeros((d, d), dtype=complex), np.eye(d), blocks, rt.w)
+    v1 = LiftOperator(g1.conj().T, g2, blocks, rt.r)
+    v2 = LiftOperator(g2.conj().T, g1, blocks, rt.s)
 
     gram = pi.conj().T @ pi
     deficiency = _nrm(gram - np.eye(triple.dim))
@@ -341,6 +396,7 @@ def verify_lift(
     c * tail + eq_tol with c = 2 (1 + ||G1|| + ||G2||); truncation leaks
     only through the top-degree block.  Compression recovery
     ||Pi* Vi Pi - Xi|| obeys the same bound once the tail is small.
+    Vi* Pi and Vi Pi are applied blockwise, never as dense matrices.
     """
     pi = model.embedding
     out = {}
@@ -349,8 +405,8 @@ def verify_lift(
         ("b", model.v2, triple.b),
         ("t", model.v3, triple.t),
     ):
-        out[f"intertwine_{name}"] = _nrm(v.conj().T @ pi - pi @ x.conj().T)
-        out[f"recover_{name}"] = _nrm(pi.conj().T @ (v @ pi) - x)
+        out[f"intertwine_{name}"] = _nrm(v.rmatvec(pi) - pi @ x.conj().T)
+        out[f"recover_{name}"] = _nrm(pi.conj().T @ v.matvec(pi) - x)
     out["bound"] = (
         2.0 * (1.0 + _nrm(model.g1) + _nrm(model.g2)) * model.tail + tol.eq_tol
     )

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,11 +129,10 @@ class TestOneUnitaryPart:
             assert assert_one_unitary_part(nonnormal_triple(seed, 3, 2)) == 2
 
 
-@pytest.fixture
-def q_calls(monkeypatch):
-    """Count compute_Q calls through every binding in the package."""
+def count_calls(monkeypatch, original):
+    """Record the arguments of every call to ``original`` through every
+    binding in the package."""
     calls = []
-    original = md.compute_Q
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -146,6 +146,11 @@ def q_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def q_calls(monkeypatch):
+    return count_calls(monkeypatch, md.compute_Q)
+
+
 @pytest.mark.parametrize("make", [lambda: mixed_triple(4), lambda: gen.gen_pure_e_contraction(
     GenConfig(seed=4, dim=3))], ids=["mixed", "pure"])
 @pytest.mark.parametrize("call", [
@@ -156,6 +161,14 @@ def q_calls(monkeypatch):
 def test_compute_q_runs_once_per_call(q_calls, make, call):
     call(make())
     assert len(q_calls) == 1
+
+
+@pytest.mark.parametrize("n_order", [None, 6], ids=["auto", "fixed"])
+def test_defect_computed_once_per_lift(monkeypatch, n_order):
+    # D_{T*} in build_lift, plus the defect of T* inside fundamental_pair.
+    calls = count_calls(monkeypatch, fo.defect)
+    md.build_lift(mixed_triple(4), n_order)
+    assert len(calls) == 2
 
 
 class TestEmbedding:
@@ -244,7 +257,7 @@ class TestBuildAndVerifyLift:
         d = model.defect_dim
         assert d == 2
         shift = np.kron(np.eye(4, k=-1), np.eye(2))
-        assert np.allclose(model.v3, shift, atol=1e-12)
+        assert np.allclose(model.v3.dense(), shift, atol=1e-12)
 
     def test_wold_form_on_interior_blocks(self):
         # V1 = V2* V3 and V2 = V1* V3 away from the truncation edge.
@@ -253,8 +266,9 @@ class TestBuildAndVerifyLift:
             model = md.build_lift(trip, 6)
             d = model.defect_dim
             cols = 6 * d  # all block columns except the top-degree one
-            diff1 = model.v2.conj().T @ model.v3 - model.v1
-            diff2 = model.v1.conj().T @ model.v3 - model.v2
+            v1, v2, v3 = model.v1.dense(), model.v2.dense(), model.v3.dense()
+            diff1 = v2.conj().T @ v3 - v1
+            diff2 = v1.conj().T @ v3 - v2
             assert operator_norm(diff1[:, :cols]) <= 1e-9
             assert operator_norm(diff2[:, :cols]) <= 1e-9
 
@@ -275,10 +289,10 @@ class TestBuildAndVerifyLift:
             g1=model.g1 + delta * e,
             g2=model.g2,
             embedding=model.embedding,
-            v1=scipy.linalg.block_diag(
-                md._block_toeplitz(
-                    (model.g1 + delta * e).conj().T, model.g2, model.order_n + 1
-                ),
+            v1=md.LiftOperator(
+                (model.g1 + delta * e).conj().T,
+                model.g2,
+                model.order_n + 1,
                 model.residual.r,
             ),
             v2=model.v2,
@@ -292,6 +306,121 @@ class TestBuildAndVerifyLift:
         sigma_min = np.linalg.svd(top, compute_uv=False)[-1]
         assert perturbed >= delta * sigma_min / 2
         assert perturbed > 100 * base
+
+
+def dense_lift_reference(diag, sub, blocks, residual):
+    """The lift operator as built before it was stored by generators."""
+    d = diag.shape[0]
+    if d:
+        top = np.kron(np.eye(blocks), diag) + np.kron(np.eye(blocks, k=-1), sub)
+    else:
+        top = np.zeros((0, 0))
+    return scipy.linalg.block_diag(top, residual)
+
+
+def dense_verify_reference(model, triple):
+    """verify_lift on dense matrices built by dense_lift_reference."""
+    pi = model.embedding
+    blocks = model.order_n + 1
+    d = model.defect_dim
+    rt = model.residual
+    out = {}
+    for name, diag, sub, res, x in (
+        ("a", model.g1.conj().T, model.g2, rt.r, triple.a),
+        ("b", model.g2.conj().T, model.g1, rt.s, triple.b),
+        ("t", np.zeros((d, d)), np.eye(d), rt.w, triple.t),
+    ):
+        v = dense_lift_reference(diag, sub, blocks, res)
+        out[f"intertwine_{name}"] = _nrm(v.conj().T @ pi - pi @ x.conj().T)
+        out[f"recover_{name}"] = _nrm(pi.conj().T @ (v @ pi) - x)
+    out["bound"] = (
+        2.0 * (1.0 + _nrm(model.g1) + _nrm(model.g2)) * model.tail + DEFAULT_TOL.eq_tol
+    )
+    return out
+
+
+def random_lift_operator(rng, d, r, blocks):
+    def mat(rows):
+        return rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+
+    return md.LiftOperator(mat(d), mat(d), blocks, mat(r))
+
+
+def normal_with_radius(seed, n, radius):
+    """Commuting normal triple whose T has spectral radius ``radius``: joint
+    eigenvalues (x11, x22, det X) of X = rho U, U a Haar 2x2 unitary."""
+    rng = np.random.default_rng(seed)
+    rhos = [np.sqrt(radius)] + list(rng.uniform(0.3, np.sqrt(radius), n - 1))
+    pts = []
+    for rho in rhos:
+        x = rho * gen.haar_unitary(rng, 2)
+        pts.append((x[0, 0], x[1, 1], x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]))
+    u = gen.haar_unitary(rng, n)
+    return cl.OperatorTriple(*[u @ np.diag([p[i] for p in pts]) @ u.conj().T for i in range(3)])
+
+
+class TestLiftOperator:
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @pytest.mark.parametrize("r", [0, 2])
+    @pytest.mark.parametrize("blocks", [1, 5])
+    def test_against_dense_reference(self, d, r, blocks):
+        rng = np.random.default_rng([d, r, blocks])
+        op = random_lift_operator(rng, d, r, blocks)
+        ref = dense_lift_reference(op.diag, op.sub, blocks, op.residual)
+        size = blocks * d + r
+        assert op.dense().shape == (size, size)
+        assert np.array_equal(op.dense(), ref)
+        for shape in ((size,), (size, 3)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert op.matvec(x).shape == shape
+            assert np.allclose(op.matvec(x), ref @ x, rtol=0, atol=1e-12)
+            assert np.allclose(op.rmatvec(x), ref.conj().T @ x, rtol=0, atol=1e-12)
+
+    def test_nbytes_counts_generators_only(self):
+        op = random_lift_operator(np.random.default_rng(0), 3, 2, 500)
+        assert op.nbytes == 16 * (9 + 9 + 4)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 4), st.integers(0, 3), st.integers(1, 7), st.integers(0, 2**16))
+    def test_adjoint_identity(self, d, r, blocks, seed):
+        rng = np.random.default_rng(seed)
+        op = random_lift_operator(rng, d, r, blocks)
+        size = blocks * d + r
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        lhs = np.vdot(y, op.matvec(x))
+        rhs = np.vdot(op.rmatvec(y), x)
+        scale = 1.0 + np.linalg.norm(x) * np.linalg.norm(y) * (
+            _nrm(op.diag) + _nrm(op.sub) + _nrm(op.residual)
+        )
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+class TestStructuredLift:
+    @pytest.mark.parametrize("n, limit_mib", [(6, 50), (12, 100)])
+    def test_capped_lift_memory(self, n, limit_mib):
+        trip = normal_with_radius([n, 0x97], n, 0.97)
+        tracemalloc.start()
+        try:
+            model = md.build_lift(trip)
+            res = md.verify_lift(model, trip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.warnings and model.order_n == 512
+        assert all(np.isfinite(v) for v in res.values())
+        assert peak < limit_mib * 2**20
+
+    def test_near_unitary_capped_lift_matches_dense_reference(self):
+        zero = np.zeros((2, 2))
+        trip = cl.OperatorTriple(zero, zero, np.diag([1.0 - 1e-3, 0.5]))
+        model = md.build_lift(trip)
+        assert model.order_n == 512 and model.embedding.shape == (1026, 2)
+        res = md.verify_lift(model, trip)
+        ref = dense_verify_reference(model, trip)
+        assert res.keys() == ref.keys()
+        for key, value in ref.items():
+            assert abs(res[key] - value) <= 1e-13 * max(1.0, value), key
 
 
 class TestStrictness:
