@@ -157,6 +157,7 @@ def run(job: JobSpec) -> int:
                 "x1": tio.matrix_to_json(pair.x1),
                 "x2": tio.matrix_to_json(pair.x2),
                 "pencil_nu_max": pair.pencil_nu_max,
+                "pencil_nu_upper": pair.pencil_nu_upper,
                 "is_special": pair.is_special,
                 "residuals": pair.residuals,
             }

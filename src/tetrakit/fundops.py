@@ -36,7 +36,7 @@ from .matkernel import (
     numerical_radius,
     solve_sandwich,
 )
-from .matkernel import _golden_max, _norm_or_zero as _nrm
+from .matkernel import _circle_sup, _norm_or_zero as _nrm
 
 __all__ = [
     "FundamentalPair",
@@ -54,16 +54,21 @@ __all__ = [
 class FundamentalPair:
     """Fundamental pair on a defect carrier, in carrier coordinates.
 
-    pencil_nu_max is the observed supremum of the numerical radius of
-    X1 + z X2 over the unit circle; for a genuine tetrablock contraction it
-    does not exceed 1 (a violation is evidence against contractivity, and
-    is recorded rather than raised).
+    [pencil_nu_max, pencil_nu_upper] brackets the supremum over the unit
+    circle of the numerical radius of X1 + z X2: pencil_nu_max is an
+    attained value, pencil_nu_upper a bound from circumscribed polygons,
+    and they differ by at most a relative 1e-6 unless the refinement limits
+    of the engine were reached (both 0.0 on an empty carrier).  For a
+    genuine tetrablock contraction the supremum does not exceed 1 (a
+    violation of pencil_nu_max is evidence against contractivity, and is
+    recorded rather than raised).
     """
 
     carrier: SubspaceBasis
     x1: np.ndarray = field(repr=False)
     x2: np.ndarray = field(repr=False)
     pencil_nu_max: float
+    pencil_nu_upper: float
     is_special: bool
     residuals: dict[str, float] = field(default_factory=dict)
 
@@ -108,9 +113,16 @@ def fundamental_pair(
     result is post-verified against the sandwich identities
     A - B*T = D X1 D, B - A*T = D X2 D and the determining equations, and
     the pencil numerical radius sup over the circle of nu(X1 + z X2) is
-    recorded together with the special-pair flag.
+    bracketed together with the special-pair flag.
     """
     work = triple.adjoint() if adjoint else triple
+    return _fundamental_pair(work, *defect(work.t, tol=tol), tol)
+
+
+def _fundamental_pair(
+    work: OperatorTriple, d: np.ndarray, carrier: SubspaceBasis, tol: Tolerances
+) -> FundamentalPair:
+    """fundamental_pair of ``work`` with D_T and its carrier given."""
     commuting, comm_res = is_commuting(work, tol)
     if not commuting:
         raise NotCommutingError(
@@ -120,7 +132,6 @@ def fundamental_pair(
     if norm_t > 1.0 + tol.eq_tol:
         raise NotAContractionError(f"||T|| = {norm_t:.6f} exceeds 1")
 
-    d, carrier = defect(work.t, adjoint=False, tol=tol)
     scale = work.scale_norm()
     if carrier.dim == 0:
         # Unitary T: the defect vanishes and the sandwich identities
@@ -134,7 +145,7 @@ def fundamental_pair(
             raise InconsistentInputError(
                 f"empty defect but A != B*T: residuals {res}"
             )
-        return FundamentalPair(carrier, empty, empty, 0.0, True, res)
+        return FundamentalPair(carrier, empty, empty, 0.0, 0.0, True, res)
 
     # Closed form on the carrier: with L = (D Q)^+ the sandwich identity
     # A - B*T = (D Q) X1 (D Q)* gives X1 = L (A - B*T) L*, and likewise X2.
@@ -160,14 +171,15 @@ def fundamental_pair(
             "sandwich identities inconsistent; input is not a tetrablock "
             f"contraction: residuals {residuals}"
         )
-    nu_max = pencil_numerical_radius_max(x1, x2, tol)
+    nu_max, nu_upper = _circle_sup(0.0, [x1, x2])
+    nu_max = max(nu_max, 0.0)
     special, special_res = is_special_pair(x1, x2, tol)
     residuals.update(special_res)
     # A pencil radius beyond 1 with a consistent solve is evidence that the
     # input is not a tetrablock contraction, not a solver failure; record
     # the excess instead of raising.
     residuals["pencil_nu_excess"] = max(nu_max - 1.0, 0.0)
-    return FundamentalPair(carrier, x1, x2, nu_max, special, residuals)
+    return FundamentalPair(carrier, x1, x2, nu_max, nu_upper, special, residuals)
 
 
 def is_special_pair(
@@ -194,25 +206,26 @@ def is_special_pair(
 def pencil_contractive(
     g1, g2, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, float]:
-    """Check sup over the circle of ||G1* + z G2|| <= 1, returning the sup."""
+    """Check sup over the circle of ||G1* + z G2|| <= 1, returning the sup.
+
+    The sup is the lower end of the circle-supremum bracket of the pencil's
+    Hermitian dilation: an attained value, from a grid raised by eigenvector
+    ascent.  The bracket is refined until it lies on one side of
+    1 + eq_tol, or until the refinement limits are reached.
+    """
     a = as_matrix(g1, square=True, name="G1")
     b = as_matrix(g2, square=True, name="G2")
     if a.shape != b.shape:
         raise PreconditionError("G1, G2 must have equal size")
-    if a.shape[0] == 0:
-        return True, 0.0
-    grid = tol.grid_points
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    phases = np.exp(1j * thetas)
-    stack = a.conj().T[None, :, :] + phases[:, None, None] * b[None, :, :]
-    norms = np.linalg.norm(stack, ord=2, axis=(1, 2))
-    k = int(np.argmax(norms))
-
-    def f(theta: float) -> float:
-        return float(np.linalg.norm(a.conj().T + np.exp(1j * theta) * b, 2))
-
-    step = 2.0 * np.pi / grid
-    sup = max(float(norms[k]), _golden_max(f, thetas[k] - step, thetas[k] + step))
+    n = a.shape[0]
+    # ||G1* + z G2|| is the top eigenvalue of the Hermitian dilation
+    # [[0, G1* + z G2], [G1 + conj(z) G2*, 0]].
+    dilation = np.zeros((2 * n, 2 * n), dtype=complex)
+    dilation[:n, n:] = a.conj().T
+    dilation[n:, :n] = a
+    shift = np.zeros_like(dilation)
+    shift[:n, n:] = 2.0 * b
+    sup = _circle_sup(dilation, [shift], bound=1.0 + tol.eq_tol)[0]
     return sup <= 1.0 + tol.eq_tol, sup
 
 
@@ -241,49 +254,19 @@ def pencil_numerical_radius_max(
 ) -> float:
     """Supremum over the unit circle in z of nu(X1 + z X2).
 
-    nu(X1 + z X2) = sup over beta of the top eigenvalue of
-    Re(beta X1) + Re(beta z X2); the two circle parameters are scanned on
-    a joint grid (batched Hermitian eigenvalues) and the best point is
-    polished with golden-section sweeps in each variable.
+    Since nu(X1 + z X2) is the sup over beta of the top eigenvalue of
+    Re(beta X1) + Re(beta z X2), this is the sup over (u, v) of the top
+    eigenvalue of Re(e^{iu} X1) + Re(e^{iv} X2): the lower end of the
+    circle-supremum bracket, an attained value from a grid raised by
+    eigenvector ascent, within a relative 1e-6 of the sup unless the
+    refinement limits are reached.  fundamental_pair records the upper end
+    as well.
     """
     a = as_matrix(x1, square=True, name="X1")
     b = as_matrix(x2, square=True, name="X2")
     if a.shape != b.shape:
         raise PreconditionError("X1, X2 must have equal size")
-    if a.shape[0] == 0:
-        return 0.0
-    gu = gv = max(min(tol.grid_points // 8, 64), 32)
-    us = 2.0 * np.pi * np.arange(gu) / gu
-    vs = 2.0 * np.pi * np.arange(gv) / gv
-    eu = np.exp(1j * us)
-    ev = np.exp(1j * vs)
-    ha = 0.5 * (eu[:, None, None] * a + np.conj(eu)[:, None, None] * a.conj().T)
-    hb = 0.5 * (ev[:, None, None] * b + np.conj(ev)[:, None, None] * b.conj().T)
-    stack = ha[:, None, :, :] + hb[None, :, :, :]
-    tops = np.linalg.eigvalsh(stack.reshape(gu * gv, *a.shape))[:, -1]
-    k = int(np.argmax(tops))
-    ku, kv = divmod(k, gv)
-    best = float(tops[k])
-
-    def top(u, v):
-        """Top eigenvalue of Re(e^{iu} X1) + Re(e^{iv} X2); u, v broadcast."""
-        u, v = (np.asarray(x)[..., None, None] for x in (u, v))
-        h = 0.5 * (np.exp(1j * u) * a + np.exp(-1j * u) * a.conj().T)
-        h = h + 0.5 * (np.exp(1j * v) * b + np.exp(-1j * v) * b.conj().T)
-        return np.linalg.eigvalsh(h)[..., -1]
-
-    u0, v0 = us[ku], vs[kv]
-    du, dv = 2.0 * np.pi / gu, 2.0 * np.pi / gv
-    for _ in range(3):
-        u0_best = _golden_max(lambda u: float(top(u, v0)), u0 - du, u0 + du, iters=30)
-        # golden returns the value; recover the argmax with a fine scan
-        fine = u0 + np.linspace(-du, du, 33)
-        u0 = float(fine[np.argmax(top(fine, v0))])
-        fine_v = v0 + np.linspace(-dv, dv, 33)
-        v0 = float(fine_v[np.argmax(top(u0, fine_v))])
-        du, dv = du / 8.0, dv / 8.0
-        best = max(best, float(top(u0, v0)), u0_best)
-    return max(best, 0.0)
+    return max(_circle_sup(0.0, [a, b])[0], 0.0)
 
 
 def solve_quadratic_douglas(

@@ -36,8 +36,8 @@ from .errors import (
     PreconditionError,
 )
 from .fundops import (
+    _fundamental_pair,
     defect,
-    fundamental_pair,
     is_special_pair,
     pencil_contractive,
 )
@@ -77,6 +77,7 @@ __all__ = [
 
 _MAX_ORDER = 512
 _ORDER_TAIL_TARGET = 1e-10
+_ORDER_BLOCK = 32  # auto_order's tails per batched norm
 
 
 @dataclass
@@ -277,16 +278,25 @@ def auto_order(
 def _auto_order(
     t: np.ndarray, d_op: np.ndarray, target: float = _ORDER_TAIL_TARGET
 ) -> tuple[int, bool]:
-    """auto_order with D_{T*} given."""
+    """auto_order with D_{T*} given.
+
+    The tail of order k is ||D_{T*} T*^(k+1)||.  The powers are formed by
+    sequential products, and the tails of _ORDER_BLOCK consecutive orders
+    are taken in one batched norm; the first order that meets the target
+    is returned (the tail need not be monotone, so nothing is skipped).
+    """
+    if d_op.size == 0:
+        return 0, False
     tstar = t.conj().T
     power = tstar.copy()
-    order = 0
-    while order < _MAX_ORDER:
-        tail = _nrm(d_op @ power)
-        if tail <= target:
-            return order, False
-        power = power @ tstar
-        order += 1
+    for first in range(0, _MAX_ORDER, _ORDER_BLOCK):
+        powers = []
+        for _ in range(min(_ORDER_BLOCK, _MAX_ORDER - first)):
+            powers.append(power)
+            power = power @ tstar
+        hits = np.flatnonzero(np.linalg.norm(d_op @ np.stack(powers), 2, axis=(1, 2)) <= target)
+        if hits.size:
+            return first + int(hits[0]), False
     return _MAX_ORDER, True
 
 
@@ -352,7 +362,7 @@ def build_lift(
             warnings.append(
                 f"truncation order capped at {_MAX_ORDER}; tail target not met"
             )
-    gpair = fundamental_pair(triple, adjoint=True, tol=tol)
+    gpair = _fundamental_pair(triple.adjoint(), d_op, d_carrier, tol)
     rt = residual_triple(triple, tol)
     pi, tail = _embedding(triple, n_order, rt.carrier, d_op, d_carrier)
     d = d_carrier.dim
@@ -496,8 +506,9 @@ def extract_data_set(
     rt = _residual_part(triple, dec, tol)
     work = dec.cnu_part if rt.dim else triple
     points = theta_sample_points(grid, boundary)
-    samples = list(zip(points, _theta_stack(work.t, points, _defect_carriers(work.t, tol))))
-    gpair = fundamental_pair(work, adjoint=True, tol=tol)
+    carriers = _defect_carriers(work.t, tol)
+    samples = list(zip(points, _theta_stack(work.t, points, carriers)))
+    gpair = _fundamental_pair(work.adjoint(), *carriers[2:], tol)
     theta0 = samples[0][1]
     pure = theta0.shape[1] == 0 or _nrm(theta0) < 1.0 - tol.eq_tol
     return TetrablockDataSet(samples, gpair.x1, gpair.x2, rt, pure)

@@ -178,6 +178,15 @@ class TestCliExitCodes:
         rep = json.loads(out.read_text())
         assert rep["fundamental_pair"]["pencil_nu_max"] <= 1 + 1e-8
 
+    def test_fundops_report_brackets_pencil_supremum(self, workdir):
+        trip = gen.gen_pure_e_contraction(GenConfig(seed=3, dim=3))
+        path = workdir / "p.json"
+        write_triple(path, trip)
+        out = workdir / "f.json"
+        assert cli.main(["fundops", str(path), "--out", str(out)]) == 0
+        pair = json.loads(out.read_text())["fundamental_pair"]
+        assert pair["pencil_nu_max"] <= pair["pencil_nu_upper"] <= 1.0
+
     def test_reproducible_up_to_timestamp(self, workdir):
         trip = gen.gen_normal_e_contraction(GenConfig(seed=8, dim=2))
         path = workdir / "n.json"

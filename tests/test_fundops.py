@@ -6,7 +6,7 @@ from tetrakit import fundops as fo
 from tetrakit import gen
 from tetrakit.errors import NotAContractionError, PreconditionError
 from tetrakit.gen import GenConfig
-from tetrakit.matkernel import numerical_radius, operator_norm
+from tetrakit.matkernel import _circle_sup, numerical_radius, operator_norm
 
 
 def scalar_triple(a, b, t):
@@ -158,6 +158,49 @@ class TestFundamentalPair:
         )
         assert res > 1e-6
 
+    def test_pencil_bracket_on_criterion_2_pairs(self):
+        # The 1000 pairs of acceptance criterion 2: the polygon upper end
+        # certifies every pencil supremum at most 1.
+        for seed in range(500):
+            trip = random_e_contraction(seed, 1 + seed % 5)
+            for adjoint in (False, True):
+                pair = fo.fundamental_pair(trip, adjoint=adjoint)
+                assert pair.pencil_nu_max <= pair.pencil_nu_upper <= 1.0, (seed, adjoint)
+                assert pair.pencil_nu_max == fo.pencil_numerical_radius_max(pair.x1, pair.x2)
+
+    def test_empty_carrier_bracket(self):
+        pair = fo.fundamental_pair(gen.gen_strict_e_unitary(GenConfig(seed=4, dim=3)))
+        assert (pair.pencil_nu_max, pair.pencil_nu_upper) == (0.0, 0.0)
+
+
+class TestPencilNumericalRadiusMax:
+    def test_scalar_closed_form(self):
+        assert fo.pencil_numerical_radius_max([[0.3j]], [[-0.4]]) == pytest.approx(0.7)
+
+    def test_regression_grid_underestimate(self):
+        # The former 64 x 64 grid with golden-section polish returned
+        # 0.7256010202748613 on this pair, 2.3e-5 below an attained value.
+        rng = np.random.default_rng(425)
+        x1, x2 = (
+            0.5 * m / operator_norm(m)
+            for m in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                      for _ in range(2))
+        )
+        value = fo.pencil_numerical_radius_max(x1, x2)
+        assert value >= 0.7256010202748613 + 1e-5
+        assert value <= _circle_sup(0.0, [x1, x2])[1]
+
+    def test_regression_peak_hidden_between_grid_points(self):
+        # Block 1 gives 1 at every (u, v) and traps the eigenvector ascent;
+        # block 2 peaks at 1.005 at u = v = -pi/16, midway between points
+        # of a 16-point grid, where it reads only 0.9857.  Searching the
+        # 16-point grid with ascent alone returned 1.0 here.
+        c = 0.5025 * np.exp(1j * np.pi / 16)
+        x1 = np.zeros((3, 3), dtype=complex)
+        x1[0, 1], x1[2, 2] = 2.0, c
+        x2 = np.diag([0.0, 0.0, c])
+        assert fo.pencil_numerical_radius_max(x1, x2) == pytest.approx(1.005, abs=1e-12)
+
 
 class TestSpecialPair:
     def test_scalars_always_special(self):
@@ -202,6 +245,18 @@ class TestPencilContractive:
             )
             assert sup >= oracle - 1e-9
             assert sup == pytest.approx(oracle, abs=1e-6 * (1 + oracle))
+
+    def test_regression_peak_hidden_between_grid_points(self):
+        # ||G1* + z G2|| is 1 on block 1 for every z, and 0.5005 |e^{i pi/16} + z|
+        # on block 2, whose sup 1.001 at z = e^{i pi/16} lies midway between
+        # points of a 16-point grid.  Searching that grid with eigenvector
+        # ascent alone returned (True, 1.0) here.
+        c = 0.5005
+        g1 = np.diag([0.0, c * np.exp(-1j * np.pi / 16)])
+        g2 = np.diag([1.0, c])
+        ok, sup = fo.pencil_contractive(g1, g2)
+        assert not ok
+        assert sup == pytest.approx(1.001, abs=1e-12)
 
 
 class TestSymbolsCommute:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetrakit import matkernel as mk
+from tetrakit.gen import haar_unitary
 from tetrakit.errors import (
     DimensionError,
     NoSolutionError,
@@ -101,6 +104,133 @@ class TestNumericalRadius:
             assert r <= nu + 1e-9
             assert nu <= norm + 1e-9
             assert norm <= 2 * nu + 1e-9
+
+
+def herm(m):
+    return 0.5 * (m + m.conj().T)
+
+
+def circle_oracle(fixed, mats, points):
+    """Dense-grid max of lambda_max(fixed + sum_j Re(e^{i theta_j} M_j)),
+    ``points`` phases per circle; k = len(mats) in {1, 2}."""
+    phases = np.exp(2j * np.pi * np.arange(points) / points)[:, None, None]
+
+    def re(p, m):
+        return 0.5 * (p * m + np.conj(p) * m.conj().T)
+
+    last = fixed + re(phases, mats[-1])
+    if len(mats) == 1:
+        return float(np.max(np.linalg.eigvalsh(last)[:, -1]))
+    return max(float(np.max(np.linalg.eigvalsh(last + re(p, mats[0]))[:, -1])) for p in phases)
+
+
+def random_mats(seed, n, k, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return [rand_matrix(rng, n, scale=scale) for _ in range(k)]
+
+
+class TestCircleSup:
+    def test_one_phase_against_dense_oracle(self):
+        # fixed = 0 takes the homogeneous polygon bound, a Hermitian fixed
+        # part the extra vertex batch.
+        rng = np.random.default_rng(61)
+        for trial in range(12):
+            n = 1 + trial % 5
+            m = rand_matrix(rng, n)
+            fixed = herm(rand_matrix(rng, n)) if trial % 2 else 0.0
+            oracle = circle_oracle(fixed, [m], 4096)
+            lower, upper = mk._circle_sup(fixed, [m])
+            assert lower >= oracle - 1e-12
+            assert upper >= oracle
+
+    def test_two_phases_against_dense_oracle(self):
+        rng = np.random.default_rng(62)
+        for trial in range(6):
+            n = 1 + trial % 4
+            x1, x2 = rand_matrix(rng, n), rand_matrix(rng, n)
+            oracle = circle_oracle(0.0, [x1, x2], 256)
+            lower, upper = mk._circle_sup(0.0, [x1, x2])
+            assert lower >= oracle - 1e-12
+            assert upper >= oracle
+
+    def test_scalar_closed_form(self):
+        # sup over u, v of Re(e^{iu} x1) + Re(e^{iv} x2) is |x1| + |x2|.
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            x1, x2 = rand_matrix(rng, 1), rand_matrix(rng, 1)
+            lower, upper = mk._circle_sup(0.0, [x1, x2])
+            exact = abs(x1[0, 0]) + abs(x2[0, 0])
+            assert lower == pytest.approx(exact, abs=1e-14 * (1 + exact))
+            assert upper >= exact
+
+    def test_bracket_width(self):
+        # Refinement stops once no cell's bound exceeds lower by more than a
+        # relative 1e-6; none of these small cases reaches a limit.
+        rng = np.random.default_rng(64)
+        for trial in range(20):
+            n, k = 1 + trial % 6, 1 + trial % 2
+            fixed = herm(rand_matrix(rng, n)) if trial % 4 == 1 else 0.0
+            lower, upper = mk._circle_sup(fixed, [rand_matrix(rng, n) for _ in range(k)])
+            assert lower <= upper <= lower + 1e-6 * abs(lower) + 1e-15
+
+    def test_bound_is_decided(self):
+        # A bound inside the bracket makes the splitting go on until the
+        # bracket lies on one side of it.
+        rng = np.random.default_rng(65)
+        for trial in range(10):
+            n, k = 2 + trial % 4, 1 + trial % 2
+            mats = [rand_matrix(rng, n) for _ in range(k)]
+            lower, upper = mk._circle_sup(0.0, mats)
+            assert lower < upper
+            for bound in (0.5 * (lower + upper), lower - 1e-3 * abs(lower)):
+                low, up = mk._circle_sup(0.0, mats, bound=bound)
+                assert up <= bound or low > bound
+                assert low >= lower - 1e-12 * abs(lower)
+
+    def test_flat_targets(self):
+        # The disk [[0, 1], [0, 0]] makes f flat along its phase.  Beside a
+        # zero matrix it is the one-phase case; with a second flat block
+        # every cell stays live, and the cell limit stops the splitting at
+        # 64 points per phase, within sec(pi/64) - 1 of the sup.
+        disk = np.array([[0, 1], [0, 0]], dtype=complex)
+        one = mk._circle_sup(0.0, [disk])
+        assert mk._circle_sup(0.0, [disk, 0 * disk]) == one
+        assert one[0] == pytest.approx(0.5, abs=1e-15) and one[1] <= 0.5 * (1 + 1e-6)
+        blocks = [np.kron(np.diag(d), disk) for d in ([1, 0], [0, 1])]
+        lower, upper = mk._circle_sup(0.0, blocks)
+        assert lower == pytest.approx(0.5, abs=1e-15)
+        assert 0.5 * (1 + 1e-6) < upper <= 0.5 / np.cos(np.pi / 64) + 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empty(self, k):
+        assert mk._circle_sup(0.0, [np.zeros((0, 0), dtype=complex)] * k) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0, 0.3j])
+    def test_nilpotent_disk(self, c):
+        # The numerical range of [[0, c], [0, 0]] is the disk of radius |c|/2.
+        m = np.array([[0, c], [0, 0]], dtype=complex)
+        lower, upper = mk._circle_sup(0.0, [m])
+        assert lower == pytest.approx(abs(c) / 2, abs=1e-12)
+        assert upper >= abs(c) / 2
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 2), st.floats(1e-3, 1e3), st.integers(0, 2**16))
+    def test_bracket_ordered_and_unitarily_invariant(self, n, k, scale, seed):
+        mats = random_mats(seed, n, k, scale)
+        lower, upper = mk._circle_sup(0.0, mats)
+        assert lower <= upper
+        u = haar_unitary(np.random.default_rng(seed + 1), n)
+        moved = mk._circle_sup(0.0, [u @ m @ u.conj().T for m in mats])
+        assert moved[0] == pytest.approx(lower, abs=1e-10 * (1 + k * scale))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.floats(1e-3, 1e3), st.integers(0, 2**16))
+    def test_swap_invariant(self, n, scale, seed):
+        x1, x2 = random_mats(seed, n, 2, scale)
+        lower, upper = mk._circle_sup(0.0, [x1, x2])
+        swapped = mk._circle_sup(0.0, [x2, x1])
+        assert swapped[0] == pytest.approx(lower, abs=1e-10 * (1 + scale))
+        assert swapped[1] == pytest.approx(upper, abs=1e-10 * (1 + scale))
 
 
 class TestPsdSqrt:

@@ -165,10 +165,26 @@ def test_compute_q_runs_once_per_call(q_calls, make, call):
 
 @pytest.mark.parametrize("n_order", [None, 6], ids=["auto", "fixed"])
 def test_defect_computed_once_per_lift(monkeypatch, n_order):
-    # D_{T*} in build_lift, plus the defect of T* inside fundamental_pair.
+    # D_{T*} in build_lift, shared with the fundamental pair of (A*, B*, T*).
     calls = count_calls(monkeypatch, fo.defect)
     md.build_lift(mixed_triple(4), n_order)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: mixed_triple(4), lambda: gen.gen_pure_e_contraction(
+    GenConfig(seed=4, dim=5))], ids=["mixed", "pure"])
+def test_shared_defect_gives_the_public_pair(make):
+    # build_lift and extract_data_set hand their D_{T*} to the pair's core;
+    # the pair must be the one fundamental_pair(adjoint=True) computes.
+    trip = make()
+    model = md.build_lift(trip, 3)
+    pair = fo.fundamental_pair(trip, adjoint=True)
+    assert np.array_equal(model.g1, pair.x1) and np.array_equal(model.g2, pair.x2)
+    dec = cl.canonical_decomposition(trip)
+    cnu = dec.cnu_part if dec.unitary_part.dim else trip
+    ds = md.extract_data_set(trip, grid=4)
+    cnu_pair = fo.fundamental_pair(cnu, adjoint=True)
+    assert np.array_equal(ds.g1, cnu_pair.x1) and np.array_equal(ds.g2, cnu_pair.x2)
 
 
 class TestEmbedding:
