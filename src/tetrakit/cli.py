@@ -12,50 +12,29 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+
+from . import __version__
+from . import classify as cl
+from . import fundops as fo
+from . import gen as g
+from . import geometry as geo
+from . import io as tio
+from . import models as md
+from .errors import InternalConsistencyError, SchemaError, TetrakitError
+from .matkernel import Tolerances
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
-_COMMANDS = (
-    "membership",
-    "classify",
-    "fundops",
-    "lift",
-    "verify",
-    "dataset",
-    "coincide",
-    "validate-special",
-    "generate",
-)
 
-
-@dataclass
-class JobSpec:
-    command: str
-    input_path: Optional[str] = None
-    output_path: Optional[str] = None
-    eq_tol: float = 1e-9
-    grid: int = 512
-    order: Optional[str] = None
-    seed: int = 0
-    mc_samples: int = 32
-    other_path: Optional[str] = None
-    modes: int = 64
-    adjoint: bool = False
-    gen_class: str = "NormalEContraction"
-    dim: int = 2
-
-
-def _provenance(job: JobSpec, tol) -> dict:
+def _provenance(args, tol) -> dict:
     return {
         "tool": "tetrakit",
-        "version": _version(),
-        "command": job.command,
-        "seed": job.seed,
+        "version": __version__,
+        "command": args.command,
+        "seed": args.seed,
         "tolerances": {
             "eq_tol": tol.eq_tol,
             "psd_tol": tol.psd_tol,
@@ -66,182 +45,142 @@ def _provenance(job: JobSpec, tol) -> dict:
     }
 
 
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("tetrakit")
-    except Exception:
-        return "unknown"
-
-
-def _emit(report: dict, job: JobSpec) -> None:
-    from . import io as tio
-
+def _emit(report: dict, path) -> None:
     text = json.dumps(tio.sanitize_report(report), indent=2)
-    if job.output_path:
-        with open(job.output_path, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _expect_kind(kind: str, wanted: str):
-    from .errors import SchemaError
+def _load(path, kind: str):
+    """The value of the document at path, which must be of the given kind."""
+    got, value = tio.load_document(path)
+    if got != kind:
+        raise SchemaError(f"expected a {kind} document, got {got}")
+    return value
 
-    if kind != wanted:
-        raise SchemaError(f"expected a {wanted} document, got {kind}")
+
+# Each handler takes the parsed arguments and the tolerances, and returns
+# its report sections (or, for dataset and generate, its document) and
+# whether the verdict is positive.
 
 
-def run(job: JobSpec) -> int:
-    """Execute one pipeline stage and write its report."""
-    from . import classify as cl
-    from . import fundops as fo
-    from . import gen as g
-    from . import geometry as geo
-    from . import io as tio
-    from . import models as md
-    from .errors import (
-        InternalConsistencyError,
-        SchemaError,
-        TetrakitError,
+def _membership(args, tol):
+    verdict = geo.in_tetrablock(_load(args.input, "point"), tol)
+    section = {
+        "in_open": verdict.in_open,
+        "in_closure": verdict.in_closure,
+        "in_bE": verdict.in_bE,
+        "sup_psi_ab": verdict.sup_psi_ab,
+        "sup_psi_ba": verdict.sup_psi_ba,
+        "boundary_marginal": verdict.boundary_marginal,
+    }
+    if verdict.witness is not None:
+        section["witness"] = tio.matrix_to_json(verdict.witness)
+    return {"verdict": section}, verdict.in_closure
+
+
+def _classify(args, tol):
+    triple = _load(args.input, "triple")
+    rep = cl.classify_triple(triple, tol, mc_samples=args.mc_samples, seed=args.seed)
+    section = {
+        "commuting": rep.commuting,
+        "e_unitary": rep.e_unitary,
+        "e_isometry": rep.e_isometry,
+        "pc_isometry": rep.pc_isometry,
+        "pc_unitary": rep.pc_unitary,
+        "semi_strict": rep.semi_strict,
+        "contraction_certificate": rep.contraction_certificate.value,
+        "failed_checks": rep.failed_checks,
+        "residuals": rep.residuals,
+    }
+    return (
+        {"classification": section},
+        rep.contraction_certificate is not cl.Certificate.CERTIFIED_NOT,
     )
-    from .matkernel import Tolerances
 
-    tol = Tolerances(eq_tol=job.eq_tol, grid_points=max(job.grid, 8))
-    report: dict = {"provenance": _provenance(job, tol)}
-    try:
-        if job.command == "membership":
-            kind, point = tio.load_document(job.input_path)
-            _expect_kind(kind, "point")
-            verdict = geo.in_tetrablock(point, tol)
-            report["verdict"] = {
-                "in_open": verdict.in_open,
-                "in_closure": verdict.in_closure,
-                "in_bE": verdict.in_bE,
-                "sup_psi_ab": verdict.sup_psi_ab,
-                "sup_psi_ba": verdict.sup_psi_ba,
-                "boundary_marginal": verdict.boundary_marginal,
-            }
-            if verdict.witness is not None:
-                report["verdict"]["witness"] = tio.matrix_to_json(verdict.witness)
-            _emit(report, job)
-            return EXIT_OK if verdict.in_closure else EXIT_NEGATIVE
 
-        if job.command == "classify":
-            kind, triple = tio.load_document(job.input_path)
-            _expect_kind(kind, "triple")
-            rep = cl.classify_triple(triple, tol, mc_samples=job.mc_samples, seed=job.seed)
-            report["classification"] = {
-                "commuting": rep.commuting,
-                "e_unitary": rep.e_unitary,
-                "e_isometry": rep.e_isometry,
-                "pc_isometry": rep.pc_isometry,
-                "pc_unitary": rep.pc_unitary,
-                "semi_strict": rep.semi_strict,
-                "contraction_certificate": rep.contraction_certificate.value,
-                "failed_checks": rep.failed_checks,
-                "residuals": rep.residuals,
-            }
-            _emit(report, job)
-            negative = rep.contraction_certificate is cl.Certificate.CERTIFIED_NOT
-            return EXIT_NEGATIVE if negative else EXIT_OK
+def _fundops(args, tol):
+    pair = fo.fundamental_pair(_load(args.input, "triple"), adjoint=args.adjoint, tol=tol)
+    section = {
+        "adjoint": args.adjoint,
+        "carrier_dim": pair.carrier.dim,
+        "x1": tio.matrix_to_json(pair.x1),
+        "x2": tio.matrix_to_json(pair.x2),
+        "pencil_nu_max": pair.pencil_nu_max,
+        "pencil_nu_upper": pair.pencil_nu_upper,
+        "is_special": pair.is_special,
+        "residuals": pair.residuals,
+    }
+    return {"fundamental_pair": section}, True
 
-        if job.command == "fundops":
-            kind, triple = tio.load_document(job.input_path)
-            _expect_kind(kind, "triple")
-            pair = fo.fundamental_pair(triple, adjoint=job.adjoint, tol=tol)
-            report["fundamental_pair"] = {
-                "adjoint": job.adjoint,
-                "carrier_dim": pair.carrier.dim,
-                "x1": tio.matrix_to_json(pair.x1),
-                "x2": tio.matrix_to_json(pair.x2),
-                "pencil_nu_max": pair.pencil_nu_max,
-                "pencil_nu_upper": pair.pencil_nu_upper,
-                "is_special": pair.is_special,
-                "residuals": pair.residuals,
-            }
-            _emit(report, job)
-            return EXIT_OK
 
-        if job.command in ("lift", "verify"):
-            kind, triple = tio.load_document(job.input_path)
-            _expect_kind(kind, "triple")
-            order = None
-            if job.order not in (None, "auto"):
-                order = int(job.order)
-            model = md.build_lift(triple, order, tol)
-            residuals = md.verify_lift(model, triple, tol)
-            report["model"] = {
-                "order_n": model.order_n,
-                "defect_dim": model.defect_dim,
-                "residual_dim": model.residual.dim,
-                "tail": model.tail,
-                "deficiency": model.deficiency,
-                "strict": md.lift_is_strict(model, tol),
-                "warnings": model.warnings,
-            }
-            report["residuals"] = residuals
-            if job.command == "lift":
-                report["model_detail"] = tio.model_to_json(model)
-            _emit(report, job)
-            worst = max(v for k, v in residuals.items() if k != "bound")
-            return EXIT_OK if worst <= residuals["bound"] else EXIT_NEGATIVE
+def _lift(args, tol):
+    """lift and verify: build the model and check it; lift also writes it."""
+    triple = _load(args.input, "triple")
+    order = None if args.order == "auto" else int(args.order)
+    model = md.build_lift(triple, order, tol)
+    residuals = md.verify_lift(model, triple, tol)
+    report = {
+        "model": {
+            "order_n": model.order_n,
+            "defect_dim": model.defect_dim,
+            "residual_dim": model.residual.dim,
+            "tail": model.tail,
+            "deficiency": model.deficiency,
+            "strict": md.lift_is_strict(model, tol),
+            "warnings": model.warnings,
+        },
+        "residuals": residuals,
+    }
+    if args.command == "lift":
+        report["model_detail"] = tio.model_to_json(model)
+    worst = max(v for k, v in residuals.items() if k != "bound")
+    return report, worst <= residuals["bound"]
 
-        if job.command == "dataset":
-            kind, triple = tio.load_document(job.input_path)
-            _expect_kind(kind, "triple")
-            ds = md.extract_data_set(
-                triple, grid=max(job.grid, 4), tol=tol, boundary=2 * job.modes
-            )
-            payload = tio.wrap_document("dataset", tio.dataset_to_json(ds))
-            payload["provenance"] = report["provenance"]
-            _emit(payload, job)
-            return EXIT_OK
 
-        if job.command == "coincide":
-            kind1, d1 = tio.load_document(job.input_path)
-            kind2, d2 = tio.load_document(job.other_path)
-            _expect_kind(kind1, "dataset")
-            _expect_kind(kind2, "dataset")
-            rep = md.coincide(d1, d2, tol)
-            report["coincide"] = {
-                "coincide": rep.coincide,
-                "undecided": rep.undecided,
-                "note": rep.note,
-                "residuals": rep.residuals,
-            }
-            _emit(report, job)
-            return EXIT_OK if rep.coincide else EXIT_NEGATIVE
+def _dataset(args, tol):
+    triple = _load(args.input, "triple")
+    ds = md.extract_data_set(triple, grid=max(args.grid, 4), tol=tol, boundary=2 * args.modes)
+    return tio._document("dataset", ds), True
 
-        if job.command == "validate-special":
-            kind, ds = tio.load_document(job.input_path)
-            _expect_kind(kind, "dataset")
-            rep = md.validate_special_data_set(ds, job.modes, tol)
-            report["validate_special"] = rep
-            _emit(report, job)
-            return EXIT_OK if rep["passes"] else EXIT_NEGATIVE
 
-        if job.command == "generate":
-            cfg = g.GenConfig(
-                seed=job.seed, dim=job.dim, class_tag=g.ClassTag(job.gen_class)
-            )
-            value = g.generate(cfg)
-            if isinstance(value, md.TetrablockDataSet):
-                payload = tio.wrap_document("dataset", tio.dataset_to_json(value))
-            else:
-                payload = tio.wrap_document("triple", tio.triple_to_json(value))
-            payload["provenance"] = report["provenance"]
-            _emit(payload, job)
-            return EXIT_OK
+def _coincide(args, tol):
+    rep = md.coincide(_load(args.input, "dataset"), _load(args.other, "dataset"), tol)
+    section = {
+        "coincide": rep.coincide,
+        "undecided": rep.undecided,
+        "note": rep.note,
+        "residuals": rep.residuals,
+    }
+    return {"coincide": section}, rep.coincide
 
-        raise SchemaError(f"unknown command {job.command!r}")
-    except InternalConsistencyError as exc:
-        print(f"internal-consistency error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (TetrakitError, FileNotFoundError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+
+def _validate_special(args, tol):
+    rep = md.validate_special_data_set(_load(args.input, "dataset"), args.modes, tol)
+    return {"validate_special": rep}, rep["passes"]
+
+
+def _generate(args, tol):
+    cfg = g.GenConfig(seed=args.seed, dim=args.dim, class_tag=g.ClassTag(args.gen_class))
+    value = g.generate(cfg)
+    kind = "dataset" if isinstance(value, md.TetrablockDataSet) else "triple"
+    return tio._document(kind, value), True
+
+
+_HANDLERS = {
+    "membership": _membership,
+    "classify": _classify,
+    "fundops": _fundops,
+    "lift": _lift,
+    "verify": _lift,
+    "dataset": _dataset,
+    "coincide": _coincide,
+    "validate-special": _validate_special,
+    "generate": _generate,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tetrablock operator-triple toolkit: membership, "
         "classification, fundamental operators, functional models.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("input", nargs="?", help="input JSON document")
     parser.add_argument("--other", help="second dataset (coincide)")
     parser.add_argument("--out", help="write the report to this path")
@@ -272,6 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one pipeline stage and write its report; return the exit code."""
     args = _build_parser().parse_args(argv)
     if args.command != "generate" and not args.input:
         print("input error: this command requires an input file", file=sys.stderr)
@@ -279,22 +219,18 @@ def main(argv=None) -> int:
     if args.command == "coincide" and not args.other:
         print("input error: coincide requires --other", file=sys.stderr)
         return EXIT_INPUT
-    job = JobSpec(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.out,
-        eq_tol=args.tol,
-        grid=args.grid,
-        order=args.order,
-        seed=args.seed,
-        mc_samples=args.mc_samples,
-        other_path=args.other,
-        modes=args.modes,
-        adjoint=args.adjoint,
-        gen_class=args.gen_class,
-        dim=args.dim,
-    )
-    return run(job)
+    tol = Tolerances(eq_tol=args.tol, grid_points=max(args.grid, 8))
+    provenance = _provenance(args, tol)
+    try:
+        report, positive = _HANDLERS[args.command](args, tol)
+        _emit({"provenance": provenance, **report}, args.out)
+    except InternalConsistencyError as exc:
+        print(f"internal-consistency error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (TetrakitError, FileNotFoundError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK if positive else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

@@ -274,27 +274,25 @@ def solve_quadratic_douglas(
 ) -> np.ndarray:
     """Solve Sigma = D F D* for F on closure Ran D* with nu(F) <= 1.
 
-    The premise D D* >= Re(alpha Sigma) for all unimodular alpha is checked
-    on a 64-point alpha grid; under it the solution F, unique on the
-    carrier, automatically has numerical radius at most one, which is
-    re-verified and enforced.
+    The premise D D* >= Re(alpha Sigma) for all unimodular alpha fails when
+    the attained lower end of the circle-supremum bracket of the top
+    eigenvalue of Re(alpha Sigma) - D D* exceeds psd_tol * scale.  A bracket
+    straddling that bound is accepted: on a target flat along the circle
+    (nu(F) = 1, a disk numerical range) the cell limit ends the refinement
+    first.  Under the premise the solution F, unique on the carrier, has
+    numerical radius at most one, which is re-verified and enforced.
     """
     dm = as_matrix(d, name="D")
     sg = as_matrix(sigma, name="Sigma")
     if sg.shape != (dm.shape[0], dm.shape[0]):
         raise PreconditionError("Sigma must be square of D's row dimension")
     gram = dm @ dm.conj().T
-    scale = 1.0 + _nrm(gram) + _nrm(sg)
-    alphas = np.exp(2j * np.pi * np.arange(64) / 64)
-    if dm.shape[0]:
-        stack = gram[None, :, :] - 0.5 * (
-            alphas[:, None, None] * sg + np.conj(alphas)[:, None, None] * sg.conj().T
+    bound = tol.psd_tol * (1.0 + _nrm(gram) + _nrm(sg))
+    lower = _circle_sup(-gram, [sg], bound=bound)[0]
+    if lower > bound:
+        raise PreconditionError(
+            f"premise DD* >= Re(alpha Sigma) fails: min eigenvalue {-lower:.3e}"
         )
-        min_eig = float(np.min(np.linalg.eigvalsh(stack)))
-        if min_eig < -tol.psd_tol * scale:
-            raise PreconditionError(
-                f"premise DD* >= Re(alpha Sigma) fails: min eigenvalue {min_eig:.3e}"
-            )
     f = solve_sandwich(dm, dm.conj().T, sg, tol)
     nu = numerical_radius(f, tol)
     if nu > 1.0 + 10.0 * tol.eq_tol:

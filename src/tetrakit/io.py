@@ -186,19 +186,26 @@ def model_to_json(m: DouglasModel) -> dict:
     }
 
 
-_KIND_SCHEMA = {
-    "point": IO_SCHEMA,
-    "triple": IO_SCHEMA,
-    "dataset": MODEL_SCHEMA,
-    "model": MODEL_SCHEMA,
-    "report": MODEL_SCHEMA,
+# Each document kind: (schema, to_json, from_json).  Model and report
+# documents are written, never read back.
+_KINDS = {
+    "point": (IO_SCHEMA, point_to_json, point_from_json),
+    "triple": (IO_SCHEMA, triple_to_json, triple_from_json),
+    "dataset": (MODEL_SCHEMA, dataset_to_json, dataset_from_json),
+    "model": (MODEL_SCHEMA, model_to_json, None),
+    "report": (MODEL_SCHEMA, None, None),
 }
 
 
 def wrap_document(kind: str, payload) -> dict:
-    if kind not in _KIND_SCHEMA:
+    if kind not in _KINDS:
         raise SchemaError(f"unknown document kind {kind!r}")
-    return {"schema": _KIND_SCHEMA[kind], "kind": kind, "payload": payload}
+    return {"schema": _KINDS[kind][0], "kind": kind, "payload": payload}
+
+
+def _document(kind: str, value) -> dict:
+    """The document of a value of the given kind, through its to_json."""
+    return wrap_document(kind, _KINDS[kind][1](value))
 
 
 def parse_document(obj):
@@ -208,20 +215,17 @@ def parse_document(obj):
     schema = obj.get("schema")
     if schema not in (IO_SCHEMA, MODEL_SCHEMA):
         hint = ""
-        if isinstance(schema, str) and schema.startswith("tetrakit/") and (
-            schema.endswith("/v0") or "/v0" in schema
-        ):
+        if isinstance(schema, str) and schema.startswith("tetrakit/") and "/v0" in schema:
             hint = "; v0 documents are not supported, regenerate with this tool"
         raise SchemaError(f"unsupported schema {schema!r}{hint}")
     kind = obj.get("kind")
-    payload = obj.get("payload")
-    if kind == "point":
-        return kind, point_from_json(payload)
-    if kind == "triple":
-        return kind, triple_from_json(payload)
-    if kind == "dataset":
-        return kind, dataset_from_json(payload)
-    raise SchemaError(f"cannot parse documents of kind {kind!r}")
+    codec = _KINDS.get(kind) if isinstance(kind, str) else None
+    if codec is None or codec[2] is None:
+        raise SchemaError(f"cannot parse documents of kind {kind!r}")
+    wanted, _, from_json = codec
+    if schema != wanted:
+        raise SchemaError(f"{kind} documents have schema {wanted!r}, not {schema!r}")
+    return kind, from_json(obj.get("payload"))
 
 
 def load_document(path):
@@ -241,23 +245,14 @@ def dump_document(kind: str, payload, path) -> None:
     )
 
 
-def _serialize_value(kind: str, value) -> dict:
-    if kind == "point":
-        return wrap_document(kind, point_to_json(value))
-    if kind == "triple":
-        return wrap_document(kind, triple_to_json(value))
-    if kind == "dataset":
-        return wrap_document(kind, dataset_to_json(value))
-    raise SchemaError(f"cannot serialize documents of kind {kind!r}")
-
-
 def roundtrip_io(path):
-    """Parse a document and verify parse -> serialize -> parse is identity."""
+    """Parse a document and verify parse -> serialize -> parse is identity:
+    the value parsed back must serialize to the same document."""
     kind, value = load_document(path)
-    text = json.dumps(_serialize_value(kind, value), allow_nan=False)
-    kind2, value2 = parse_document(json.loads(text))
-    if kind2 != kind:
-        raise SchemaError("round trip changed the document kind")
+    doc = _document(kind, value)
+    kind2, value2 = parse_document(json.loads(json.dumps(doc, allow_nan=False)))
+    if _document(kind2, value2) != doc:
+        raise SchemaError(f"round trip changed the {kind} document")
     return value
 
 

@@ -11,9 +11,12 @@ import tetrakit
 from tetrakit import cli
 from tetrakit import gen
 from tetrakit import io as tio
+from tetrakit import models as md
+from tetrakit.classify import OperatorTriple
 from tetrakit.errors import SchemaError
 from tetrakit.gen import GenConfig
 from tetrakit.geometry import Point3
+from tetrakit.matkernel import DEFAULT_TOL
 
 
 @pytest.fixture
@@ -68,6 +71,34 @@ class TestIO:
     def test_wrong_entry_count(self):
         with pytest.raises(SchemaError):
             tio.matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
+
+
+    def test_roundtrip_detects_lossy_codec(self, workdir, monkeypatch):
+        path = workdir / "trip.json"
+        write_triple(path, gen.gen_normal_e_contraction(GenConfig(seed=1, dim=2)))
+
+        def halving(obj):
+            t = tio.triple_from_json(obj)
+            return OperatorTriple(0.5 * t.a, t.b, t.t)
+
+        entry = (tio.IO_SCHEMA, tio.triple_to_json, halving)
+        monkeypatch.setitem(tio._KINDS, "triple", entry)
+        with pytest.raises(SchemaError, match="round trip"):
+            tio.roundtrip_io(path)
+
+    def test_kind_under_wrong_schema_rejected(self):
+        trip = gen.gen_normal_e_contraction(GenConfig(seed=1, dim=2))
+        ds = gen.gen_scalar_special_dataset(GenConfig(seed=2, dim=1), fourier_modes=8)
+        for kind, payload, schema in (
+            ("triple", tio.triple_to_json(trip), tio.MODEL_SCHEMA),
+            ("point", tio.point_to_json(Point3(0, 0, 0)), tio.MODEL_SCHEMA),
+            ("dataset", tio.dataset_to_json(ds), tio.IO_SCHEMA),
+        ):
+            doc = {"schema": schema, "kind": kind, "payload": payload}
+            with pytest.raises(SchemaError, match="schema"):
+                tio.parse_document(doc)
+            doc["schema"] = tio.wrap_document(kind, payload)["schema"]
+            assert tio.parse_document(doc)[0] == kind
 
 
 class TestCliExitCodes:
@@ -199,6 +230,95 @@ class TestCliExitCodes:
         r1["provenance"].pop("timestamp")
         r2["provenance"].pop("timestamp")
         assert r1 == r2
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A point, a pure triple, its data set and a special data set."""
+    d = tmp_path_factory.mktemp("inputs")
+    write_point(d / "point.json", Point3(0, 0, 0))
+    trip = gen.gen_pure_e_contraction(GenConfig(seed=3, dim=2))
+    write_triple(d / "pure.json", trip)
+    ds = md.extract_data_set(trip, grid=8, tol=DEFAULT_TOL)
+    tio.dump_document("dataset", tio.dataset_to_json(ds), d / "ds.json")
+    special = gen.gen_scalar_special_dataset(GenConfig(seed=7, dim=1))
+    tio.dump_document("dataset", tio.dataset_to_json(special), d / "special.json")
+    return d
+
+
+_DOCUMENT = {"provenance", "schema", "kind", "payload"}
+_LIFT = {"provenance", "model", "residuals"}
+
+
+class TestEveryCommand:
+    @pytest.mark.parametrize(
+        "args, sections",
+        [
+            (["membership", "point.json"], {"provenance", "verdict"}),
+            (["classify", "pure.json"], {"provenance", "classification"}),
+            (["fundops", "pure.json"], {"provenance", "fundamental_pair"}),
+            (["lift", "pure.json"], _LIFT | {"model_detail"}),
+            (["verify", "pure.json"], _LIFT),
+            (["dataset", "pure.json", "--grid", "8"], _DOCUMENT),
+            (["coincide", "ds.json", "--other", "ds.json"], {"provenance", "coincide"}),
+            (["validate-special", "special.json"], {"provenance", "validate_special"}),
+            (["generate", "--class", "PcUnitary", "--seed", "4", "--dim", "3"], _DOCUMENT),
+            (["generate", "--class", "SpecialScalarDataSet", "--seed", "7"], _DOCUMENT),
+        ],
+        ids=[
+            "membership",
+            "classify",
+            "fundops",
+            "lift",
+            "verify",
+            "dataset",
+            "coincide",
+            "validate-special",
+            "generate-triple",
+            "generate-dataset",
+        ],
+    )
+    def test_command(self, inputs, workdir, args, sections):
+        out = workdir / "report.json"
+        argv = [str(inputs / a) if a.endswith(".json") else a for a in args]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert set(rep) == sections
+        assert rep["provenance"]["command"] == args[0]
+        assert rep["provenance"]["version"] == tetrakit.__version__
+
+    def test_membership_witness(self, inputs, workdir):
+        out = workdir / "report.json"
+        assert cli.main(["membership", str(inputs / "point.json"), "--out", str(out)]) == 0
+        witness = tio.matrix_from_json(json.loads(out.read_text())["verdict"]["witness"])
+        assert witness.shape == (2, 2)
+        assert np.linalg.norm(witness, 2) <= 1 + 1e-9
+
+    @pytest.mark.parametrize(
+        "cls, kind", [("PcUnitary", "triple"), ("SpecialScalarDataSet", "dataset")]
+    )
+    def test_generate_writes_the_generator_output(self, workdir, cls, kind):
+        out = workdir / "gen.json"
+        assert cli.main(["generate", "--class", cls, "--seed", "4", "--out", str(out)]) == 0
+        got_kind, value = tio.load_document(out)
+        want = gen.generate(GenConfig(seed=4, dim=2, class_tag=gen.ClassTag(cls)))
+        assert got_kind == kind
+        assert tio._document(kind, value) == tio._document(kind, want)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["lift", "missing.json"], "No such file"),
+            (["coincide", "ds.json"], "coincide requires --other"),
+            (["classify", "ds.json"], "expected a triple document, got dataset"),
+        ],
+        ids=["missing-file", "coincide-without-other", "dataset-to-classify"],
+    )
+    def test_input_errors_exit_3(self, inputs, workdir, capsys, args, message):
+        argv = [str(inputs / a) if a.endswith(".json") else a for a in args]
+        assert cli.main(argv + ["--out", str(workdir / "r.json")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (workdir / "r.json").exists()
 
 
 _NUMPY_IMPORT_PROBE = """

@@ -327,3 +327,20 @@ class TestQuadraticDouglas:
     def test_premise_violation(self):
         with pytest.raises(PreconditionError):
             fo.solve_quadratic_douglas(0.1 * np.eye(2), np.eye(2))
+
+
+class TestQuadraticDouglasPremise:
+    def test_premise_violation_between_grid_points(self):
+        # Re(alpha Sigma) exceeds D D* = 1 only near alpha = e^{-i pi/64},
+        # between the points of a 64-point alpha grid.
+        sigma = 1.0005 * np.exp(1j * np.pi / 64) * np.eye(1)
+        with pytest.raises(PreconditionError):
+            fo.solve_quadratic_douglas(np.eye(1), sigma)
+
+    def test_flat_target_on_the_boundary_accepted(self):
+        # F = Sigma has a disk numerical range of radius nu(F) = 1, so
+        # lambda_max(Re(alpha Sigma) - D D*) = 0 for every alpha.
+        sigma = np.array([[0.0, 2.0], [0.0, 0.0]])
+        f = fo.solve_quadratic_douglas(np.eye(2), sigma)
+        assert np.allclose(f, sigma, atol=1e-9)
+        assert fo.numerical_radius(f) <= 1.0 + 1e-9
