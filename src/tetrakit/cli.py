@@ -219,9 +219,9 @@ def main(argv=None) -> int:
     if args.command == "coincide" and not args.other:
         print("input error: coincide requires --other", file=sys.stderr)
         return EXIT_INPUT
-    tol = Tolerances(eq_tol=args.tol, grid_points=max(args.grid, 8))
-    provenance = _provenance(args, tol)
     try:
+        tol = Tolerances(eq_tol=args.tol, grid_points=max(args.grid, 8))
+        provenance = _provenance(args, tol)
         report, positive = _HANDLERS[args.command](args, tol)
         _emit({"provenance": provenance, **report}, args.out)
     except InternalConsistencyError as exc:

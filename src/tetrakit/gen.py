@@ -138,6 +138,19 @@ def gen_pure_e_contraction(cfg: GenConfig) -> OperatorTriple:
     raise GenerationError("exceeded resampling cap while enforcing purity")
 
 
+def _scaled_polynomial(rng: np.random.Generator, w: np.ndarray, low: float, high: float):
+    """Random polynomial in w of degree dim(w), scaled to a norm drawn
+    uniformly from [low, high]; the coefficients are drawn first."""
+    n = w.shape[0]
+    coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    s = np.zeros_like(w)
+    power = np.eye(n, dtype=complex)
+    for c in coeffs:
+        s = s + c * power
+        power = power @ w
+    return s * (rng.uniform(low, high) / max(_nrm(s), 1e-12))
+
+
 def gen_pc_unitary(cfg: GenConfig) -> OperatorTriple:
     """Pseudo-commutative tetrablock unitary (S* W, S, W).
 
@@ -148,15 +161,7 @@ def gen_pc_unitary(cfg: GenConfig) -> OperatorTriple:
     """
     rng = np.random.default_rng([cfg.seed, cfg.dim, 0x03])
     w = haar_unitary(rng, cfg.dim)
-    deg = max(1, cfg.dim)
-    coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-    s = np.zeros_like(w)
-    power = np.eye(cfg.dim, dtype=complex)
-    for c in coeffs:
-        s = s + c * power
-        power = power @ w
-    target = rng.uniform(0.3, 2.0)
-    s = s * (target / max(_nrm(s), 1e-12))
+    s = _scaled_polynomial(rng, w, 0.3, 2.0)
     return OperatorTriple(s.conj().T @ w, s, w)
 
 
@@ -258,13 +263,7 @@ def gen_strict_e_unitary(cfg: GenConfig) -> OperatorTriple:
     commuting with W (here a polynomial in W scaled below one)."""
     rng = np.random.default_rng([cfg.seed, cfg.dim, 0x06])
     w = haar_unitary(rng, cfg.dim)
-    coeffs = rng.standard_normal(cfg.dim + 1) + 1j * rng.standard_normal(cfg.dim + 1)
-    s = np.zeros_like(w)
-    power = np.eye(cfg.dim, dtype=complex)
-    for c in coeffs:
-        s = s + c * power
-        power = power @ w
-    s = s * (rng.uniform(0.2, 0.98) / max(_nrm(s), 1e-12))
+    s = _scaled_polynomial(rng, w, 0.2, 0.98)
     return OperatorTriple(s.conj().T @ w, s, w)
 
 

@@ -272,32 +272,8 @@ def auto_order(
     because every model guarantee scales with the tail.
     """
     t = as_matrix(t_mat, square=True, name="T")
-    return _auto_order(t, defect(t, adjoint=True, tol=tol)[0], target)
-
-
-def _auto_order(
-    t: np.ndarray, d_op: np.ndarray, target: float = _ORDER_TAIL_TARGET
-) -> tuple[int, bool]:
-    """auto_order with D_{T*} given.
-
-    The tail of order k is ||D_{T*} T*^(k+1)||.  The powers are formed by
-    sequential products, and the tails of _ORDER_BLOCK consecutive orders
-    are taken in one batched norm; the first order that meets the target
-    is returned (the tail need not be monotone, so nothing is skipped).
-    """
-    if d_op.size == 0:
-        return 0, False
-    tstar = t.conj().T
-    power = tstar.copy()
-    for first in range(0, _MAX_ORDER, _ORDER_BLOCK):
-        powers = []
-        for _ in range(min(_ORDER_BLOCK, _MAX_ORDER - first)):
-            powers.append(power)
-            power = power @ tstar
-        hits = np.flatnonzero(np.linalg.norm(d_op @ np.stack(powers), 2, axis=(1, 2)) <= target)
-        if hits.size:
-            return first + int(hits[0]), False
-    return _MAX_ORDER, True
+    d_op, d_carrier = defect(t, adjoint=True, tol=tol)
+    return _observability_rows(t, d_op, d_carrier, None, target)[2:]
 
 
 def observability_embedding(
@@ -312,33 +288,47 @@ def observability_embedding(
     """
     ql = compute_Q(triple.t, tol)
     d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
-    pi, tail = _embedding(triple, n_order, ql.carrier, d_op, d_carrier)
-    return pi, tail, d_carrier, ql
+    rows, tail, _, _ = _observability_rows(triple.t, d_op, d_carrier, n_order)
+    return np.vstack(rows + [ql.carrier.basis.conj().T]), tail, d_carrier, ql
 
 
-def _embedding(
-    triple: OperatorTriple,
-    n_order: int,
-    carrier: SubspaceBasis,
+def _observability_rows(
+    t: np.ndarray,
     d_op: np.ndarray,
     d_carrier: SubspaceBasis,
+    n_order: Optional[int] = None,
+    target: float = _ORDER_TAIL_TARGET,
 ):
-    """(embedding, tail) from D_{T*} and its carrier, with the rows of
-    ``carrier*`` at the bottom."""
-    if n_order < 0:
+    """(rows, tail, order, capped): the blocks R_k = C* D_{T*} T*^k for
+    k <= order, C the carrier of D_{T*}, and the tail of that order.
+
+    The tail of order k is ||D_{T*} T*^(k+1)|| = ||R_{k+1}||, since
+    D_{T*} = C C* D_{T*}.  Without n_order, the order is the first one whose
+    tail meets target: the rows are extended _ORDER_BLOCK at a time and
+    their tails taken in one batched norm (the tail need not be monotone,
+    so nothing is skipped), up to the cap _MAX_ORDER.
+    """
+    if n_order is not None and n_order < 0:
         raise PreconditionError("truncation order must be nonnegative")
-    n = triple.dim
-    tstar = triple.t.conj().T
-    rows = []
-    block = d_carrier.basis.conj().T @ d_op  # defect block in carrier coordinates
-    power = np.eye(n, dtype=complex)
-    for _ in range(n_order + 1):
-        rows.append(block @ power)
-        power = power @ tstar
-    tail = _nrm(d_op @ power)
-    bottom = carrier.basis.conj().T
-    pi = np.vstack(rows + [bottom]) if (d_carrier.dim or carrier.dim) else np.zeros((0, n))
-    return pi, tail
+    tstar = t.conj().T
+    rows = [d_carrier.basis.conj().T @ d_op]
+    capped = False
+
+    def extend(count: int) -> None:
+        for _ in range(count):
+            rows.append(rows[-1] @ tstar)
+
+    if n_order is None:
+        for first in range(0, _MAX_ORDER, _ORDER_BLOCK):
+            extend(min(_ORDER_BLOCK, _MAX_ORDER - first))
+            tails = np.linalg.norm(np.stack(rows[first + 1:]), 2, axis=(1, 2))
+            hits = np.flatnonzero(tails <= target)
+            if hits.size:
+                order = first + int(hits[0])
+                return rows[: order + 1], float(tails[hits[0]]), order, False
+        n_order, capped = _MAX_ORDER, True
+    extend(n_order + 2 - len(rows))
+    return rows[: n_order + 1], _nrm(rows[n_order + 1]), n_order, capped
 
 
 def build_lift(
@@ -351,20 +341,15 @@ def build_lift(
     v3 is the truncated block shift extended by the residual unitary W;
     v1 and v2 are the block-Toeplitz truncations of the multiplication
     operators with symbols G1* + z G2 and G2* + z G1 extended by R and S.
-    All three are LiftOperators.  D_{T*} is computed once and shared by the
-    order search and the embedding.
+    All three are LiftOperators.  D_{T*} is computed once, and the powers
+    of T* once, for both the order search and the embedding.
     """
-    warnings: list[str] = []
     d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
-    if n_order is None:
-        n_order, capped = _auto_order(triple.t, d_op)
-        if capped:
-            warnings.append(
-                f"truncation order capped at {_MAX_ORDER}; tail target not met"
-            )
     gpair = _fundamental_pair(triple.adjoint(), d_op, d_carrier, tol)
     rt = residual_triple(triple, tol)
-    pi, tail = _embedding(triple, n_order, rt.carrier, d_op, d_carrier)
+    rows, tail, n_order, capped = _observability_rows(triple.t, d_op, d_carrier, n_order)
+    warnings = [f"truncation order capped at {_MAX_ORDER}; tail target not met"] if capped else []
+    pi = np.vstack(rows + [rt.carrier.basis.conj().T])
     d = d_carrier.dim
     blocks = n_order + 1
     g1, g2 = gpair.x1, gpair.x2
@@ -455,7 +440,6 @@ def char_function(
     t_mat,
     z: complex,
     tol: Tolerances = DEFAULT_TOL,
-    carriers=None,
 ) -> np.ndarray:
     """Characteristic function sample Theta(z) : defect(T) -> defect(T*).
 
@@ -465,9 +449,7 @@ def char_function(
     Wraps the stacked core _theta_stack for a single z.
     """
     t = as_matrix(t_mat, square=True, name="T")
-    if carriers is None:
-        carriers = _defect_carriers(t, tol)
-    return _theta_stack(t, [complex(z)], carriers)[0]
+    return _theta_stack(t, [complex(z)], _defect_carriers(t, tol))[0]
 
 
 def defect_of_theta(
@@ -709,6 +691,13 @@ def validate_special_data_set(
     lift operators, measured against the graph enlarged by one guard mode
     (a degree-1 pencil raises the mode index by at most one, so leakage is
     fully visible there).
+
+    D_Theta at each boundary point is kept as the rows sqrt(w) v* of the
+    eigenpairs of I - Theta*Theta with w > 2 psd_tol (unit scale, so inner
+    samples contribute nothing), stacked grid-major like the residual
+    carrier.  The graph up to the guard degree is one matrix with columns
+    z^k [Theta; D_Theta] e_i; its Householder QR gives the enlarged basis,
+    whose leading (fourier_modes + 1) d_in columns are the graph basis.
     """
     special, special_res = is_special_pair(d.g1, d.g2, tol)
     pencil_ok, pencil_sup = pencil_contractive(d.g1, d.g2, tol)
@@ -718,91 +707,40 @@ def validate_special_data_set(
     m = len(boundary)
     din, dout = d.defect_dims
     zs = np.array([z for z, _ in boundary])
-    thetas = np.stack([mat for _, mat in boundary]) if din else np.zeros((m, dout, 0))
+    thetas = np.stack([mat for _, mat in boundary])
 
-    # Per-point defect carriers; their total dimension must match the
-    # residual carrier, which is ordered grid-major by convention.  Ranks
-    # are decided on the eigenvalues of I - Theta*Theta at unit scale, so
-    # inner samples contribute nothing.
-    deltas = []
-    carriers = []
-    total_rank = 0
-    for j in range(m):
-        herm = np.eye(din) - thetas[j].conj().T @ thetas[j]
-        w, v = np.linalg.eigh(0.5 * (herm + herm.conj().T))
-        keep = w > tol.psd_tol * 2.0
-        w = np.where(keep, w, 0.0)
-        delta = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        basis = SubspaceBasis(din, v[:, keep])
-        deltas.append(delta)
-        carriers.append(basis)
-        total_rank += basis.dim
-    if d.residual.dim != total_rank:
+    w, v = np.linalg.eigh(np.eye(din) - thetas.conj().transpose(0, 2, 1) @ thetas)
+    keep = w > tol.psd_tol * 2.0
+    defect_rows = np.sqrt(w[keep])[:, None] * v.conj().transpose(0, 2, 1)[keep]
+    rank = len(defect_rows)
+    if d.residual.dim != rank:
         raise PreconditionError(
             f"residual carrier dim {d.residual.dim} does not match boundary "
-            f"defect rank {total_rank}"
+            f"defect rank {rank}"
         )
-
-    def graph_vector(k: int, i: int) -> np.ndarray:
-        top = (zs**k)[:, None] * thetas[:, :, i]
-        parts = [top.ravel() / math.sqrt(m)]
-        for j in range(m):
-            if carriers[j].dim:
-                comp = carriers[j].basis.conj().T @ (deltas[j][:, i] * zs[j] ** k)
-                parts.append(comp / math.sqrt(m))
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
-
-    if din == 0:
-        return {
-            "passes_i": passes_i,
-            "passes_ii": True,
-            "passes": passes_i,
-            "pencil_sup": pencil_sup,
-            "invariance_residual": 0.0,
-            "residuals": special_res,
-        }
-
-    def basis_matrix(k_max: int) -> np.ndarray:
-        cols = [graph_vector(k, i) for k in range(k_max + 1) for i in range(din)]
-        mat = np.stack(cols, axis=1)
-        q, _ = np.linalg.qr(mat)
-        return q
-
-    graph_cols = basis_matrix(fourier_modes)
-    enlarged = basis_matrix(fourier_modes + 1)
-
-    bottom_offsets = []
-    off = m * dout
-    for j in range(m):
-        bottom_offsets.append(off)
-        off += carriers[j].dim
-
-    def apply_op(vec: np.ndarray, top_sym, bottom_mat: np.ndarray) -> np.ndarray:
-        out = vec.copy()
-        top = vec[: m * dout].reshape(m, dout)
-        out_top = np.einsum("jab,jb->ja", top_sym, top)
-        out[: m * dout] = out_top.ravel()
-        if total_rank:
-            comp = vec[m * dout:]
-            out[m * dout:] = bottom_mat @ comp
-        return out
-
-    eye_out = np.eye(dout)
-    sym_t = zs[:, None, None] * eye_out[None, :, :]
-    sym_a = d.g1.conj().T[None, :, :] + zs[:, None, None] * d.g2[None, :, :]
-    sym_b = d.g2.conj().T[None, :, :] + zs[:, None, None] * d.g1[None, :, :]
-    w_empty = np.zeros((0, 0), dtype=complex)
-    ops = [
-        (sym_a, d.residual.r if total_rank else w_empty),
-        (sym_b, d.residual.s if total_rank else w_empty),
-        (sym_t, d.residual.w if total_rank else w_empty),
-    ]
     worst = 0.0
-    for sym, bottom in ops:
-        for col in range(graph_cols.shape[1]):
-            image = apply_op(graph_cols[:, col], sym, bottom)
-            leak = image - enlarged @ (enlarged.conj().T @ image)
-            worst = max(worst, float(np.linalg.norm(leak)))
+    if din:
+        powers = zs[:, None] ** np.arange(fourier_modes + 2)
+        top = powers[:, None, :, None] * thetas[:, :, None, :]
+        bottom = powers[np.nonzero(keep)[0], :, None] * defect_rows[:, None, :]
+        cols = (fourier_modes + 2) * din
+        q, _ = np.linalg.qr(np.vstack([top.reshape(m * dout, cols), bottom.reshape(rank, cols)]))
+        basis = q[:, : (fourier_modes + 1) * din]
+        p = basis.shape[1]
+        # Symbols G1* + z G2, G2* + z G1 and z on the top rows; R, S, W below.
+        consts = np.stack([d.g1.conj().T, d.g2.conj().T, np.zeros((dout, dout))])
+        slopes = np.stack([d.g2, d.g1, np.eye(dout)])
+        symbols = consts[:, None] + zs[:, None, None] * slopes[:, None]
+        res = d.residual
+        bottoms = np.stack([res.r, res.s, res.w]) if rank else np.zeros((3, 0, 0))
+        images = np.concatenate(
+            [
+                (symbols @ basis[: m * dout].reshape(m, dout, p)).reshape(3, m * dout, p),
+                bottoms @ basis[m * dout:],
+            ],
+            axis=1,
+        )
+        worst = float(np.max(np.linalg.norm(images - q @ (q.conj().T @ images), axis=1)))
 
     scale = 1.0 + max(_nrm(d.g1), _nrm(d.g2), 1.0)
     passes_ii = worst <= 100.0 * tol.eq_tol * scale

@@ -311,8 +311,16 @@ class TestEveryCommand:
             (["lift", "missing.json"], "No such file"),
             (["coincide", "ds.json"], "coincide requires --other"),
             (["classify", "ds.json"], "expected a triple document, got dataset"),
+            (["classify", "pure.json", "--tol", "-1"], "eq_tol and psd_tol must be positive"),
+            (["classify", "pure.json", "--tol", "0"], "eq_tol and psd_tol must be positive"),
         ],
-        ids=["missing-file", "coincide-without-other", "dataset-to-classify"],
+        ids=[
+            "missing-file",
+            "coincide-without-other",
+            "dataset-to-classify",
+            "negative-tol",
+            "zero-tol",
+        ],
     )
     def test_input_errors_exit_3(self, inputs, workdir, capsys, args, message):
         argv = [str(inputs / a) if a.endswith(".json") else a for a in args]

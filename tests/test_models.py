@@ -15,7 +15,13 @@ from tetrakit import gen
 from tetrakit import models as md
 from tetrakit.errors import NotCommutingError, PoleError, PreconditionError
 from tetrakit.gen import ClassTag, GenConfig
-from tetrakit.matkernel import DEFAULT_TOL, compress, operator_norm, spectral_radius
+from tetrakit.matkernel import (
+    DEFAULT_TOL,
+    SubspaceBasis,
+    compress,
+    operator_norm,
+    spectral_radius,
+)
 from tetrakit.matkernel import _norm_or_zero as _nrm
 
 
@@ -853,6 +859,82 @@ class TestOmegaTau:
             md.omega_tau(trip, trip, 2.0 * np.eye(trip.dim))
 
 
+def validate_special_reference(d, modes, tol=DEFAULT_TOL):
+    """(invariance_residual, passes_ii) of validate_special_data_set as
+    computed before the graph was one matrix: one defect per boundary
+    point, one graph vector per column, a QR per degree bound, and one
+    leak per column and lift operator."""
+    boundary = md._boundary_grid(d, modes)
+    m = len(boundary)
+    din, dout = d.defect_dims
+    zs = np.array([z for z, _ in boundary])
+    thetas = np.stack([mat for _, mat in boundary])
+    defects = []  # kept rows sqrt(w) v* of I - Theta*Theta, per point
+    for theta in thetas:
+        herm = np.eye(din) - theta.conj().T @ theta
+        w, v = np.linalg.eigh(0.5 * (herm + herm.conj().T))
+        keep = w > tol.psd_tol * 2.0
+        delta = (v * np.sqrt(np.where(keep, w, 0.0))) @ v.conj().T
+        defects.append(v[:, keep].conj().T @ delta)
+    rank = sum(len(rows) for rows in defects)
+    if d.residual.dim != rank:
+        raise PreconditionError(f"does not match boundary defect rank {rank}")
+    scale = 1.0 + max(_nrm(d.g1), _nrm(d.g2), 1.0)
+    if din == 0:
+        return 0.0, True
+
+    def basis(k_max):
+        cols = []
+        for k in range(k_max + 1):
+            for i in range(din):
+                parts = [((zs**k)[:, None] * thetas[:, :, i]).ravel()]
+                parts += [rows[:, i] * z**k for rows, z in zip(defects, zs)]
+                cols.append(np.concatenate(parts) / math.sqrt(m))
+        return np.linalg.qr(np.stack(cols, axis=1))[0]
+
+    graph, enlarged = basis(modes), basis(modes + 1)
+    res = d.residual
+    empty = np.zeros((0, 0))
+    worst = 0.0
+    for const, slope, bottom in (
+        (d.g1.conj().T, d.g2, res.r if rank else empty),
+        (d.g2.conj().T, d.g1, res.s if rank else empty),
+        (np.zeros((dout, dout)), np.eye(dout), res.w if rank else empty),
+    ):
+        symbol = const + zs[:, None, None] * slope
+        for col in graph.T:
+            top = np.einsum("jab,jb->ja", symbol, col[: m * dout].reshape(m, dout))
+            image = np.concatenate([top.ravel(), bottom @ col[m * dout:]])
+            leak = image - enlarged @ (enlarged.conj().T @ image)
+            worst = max(worst, float(np.linalg.norm(leak)))
+    return worst, worst <= 100.0 * tol.eq_tol * scale
+
+
+def boundary_defect_set(theta, w_symbol, residual_dim=None, g1=0.3, g2=0.4, modes=64):
+    """Scalar data set whose Theta = theta(z) is not inner, so every one of
+    the 2 * modes boundary points carries a rank-one defect.  The residual
+    acts on the identity carrier of those points, in grid order, as
+    diag(conj(g1) + z g2), diag(conj(g2) + z g1) and diag(w_symbol(z)); with
+    residual_dim it is instead the identity of that size."""
+    points = md.theta_sample_points(8, 2 * modes)
+    samples = [(z, np.array([[theta(z)]], dtype=complex)) for z in points]
+    if residual_dim is None:
+        zs = np.exp(2j * np.pi * np.arange(2 * modes) / (2 * modes))
+        r = np.diag(np.conj(g1) + zs * g2)
+        s = np.diag(np.conj(g2) + zs * g1)
+        w = np.diag(w_symbol(zs))
+    else:
+        r = s = w = np.eye(residual_dim, dtype=complex)
+    size = r.shape[0]
+    residual = md.ResidualTriple(r, s, w, SubspaceBasis(size, np.eye(size)), True, {})
+    return md.TetrablockDataSet(samples, np.array([[g1]]), np.array([[g2]]), residual, False)
+
+
+_BOUNDARY_THETAS = pytest.mark.parametrize(
+    "theta", [lambda z: 0.0, lambda z: z / 2], ids=["zero", "half-z"]
+)
+
+
 class TestValidateSpecial:
     def test_epilogue_scalar_set(self):
         cfg = GenConfig(seed=123, dim=1)
@@ -886,6 +968,33 @@ class TestValidateSpecial:
         ds = md.extract_data_set(trip, grid=8, boundary=128)
         rep = md.validate_special_data_set(ds, fourier_modes=64)
         assert rep["passes"], rep
+
+    @_BOUNDARY_THETAS
+    def test_boundary_defect_graph_is_invariant(self, theta):
+        rep = md.validate_special_data_set(boundary_defect_set(theta, lambda z: z), 64)
+        assert rep["passes_ii"], rep
+        assert rep["invariance_residual"] <= 1e-12
+
+    @_BOUNDARY_THETAS
+    def test_wrong_residual_unitary_leaks(self, theta):
+        rep = md.validate_special_data_set(boundary_defect_set(theta, lambda z: z**2), 64)
+        assert not rep["passes_ii"]
+        assert rep["invariance_residual"] == pytest.approx(1.0, abs=0.05)
+
+    def test_residual_dim_must_match_boundary_defect_rank(self):
+        ds = boundary_defect_set(lambda z: 0.0, None, residual_dim=5)
+        with pytest.raises(PreconditionError, match="does not match boundary defect rank 128"):
+            md.validate_special_data_set(ds, 64)
+
+    def test_matches_per_column_reference(self):
+        sets = [gen.gen_scalar_special_dataset(GenConfig(seed=seed, dim=1)) for seed in range(20)]
+        for theta in (lambda z: 0.0, lambda z: z / 2):
+            sets += [boundary_defect_set(theta, w) for w in (lambda z: z, lambda z: z**2)]
+        for ds in sets:
+            rep = md.validate_special_data_set(ds, 64)
+            worst, passes_ii = validate_special_reference(ds, 64)
+            assert rep["invariance_residual"] == pytest.approx(worst, abs=1e-12)
+            assert rep["passes_ii"] == passes_ii
 
 
 class TestKernelModel:
