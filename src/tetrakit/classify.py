@@ -5,21 +5,20 @@ isometries (A = B*T with T isometric and B contractive), their
 pseudo-commutative relaxations (A, B commute with T but not necessarily
 with each other), a one-sided necessary-condition certifier for tetrablock
 contractions, and the canonical splitting into a unitary and a completely
-non-unitary part, decided by the limit projection Q of ``compute_Q``.
+non-unitary part, decided from the spectrum of T by ``compute_Q``.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import geometry
-from .errors import DimensionError, NotCommutingError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .matkernel import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -121,18 +120,14 @@ class ClassificationReport:
 
 @dataclass
 class QLimit:
-    """Strong limit of T^n T^{*n} together with its range.
+    """Projection Q onto the unitary part of T, with its range and kernel.
 
-    In finite dimensions the limit is the orthogonal projection onto the
-    subspace where T acts unitarily; eigenvalues of the computed limit are
-    snapped to {0, 1} and the snap distance is recorded as ``deviation``.
+    In finite dimensions Q is the strong limit of T^n T^{*n}.
     """
 
     q: np.ndarray = field(repr=False)
     carrier: SubspaceBasis
     complement: SubspaceBasis
-    deviation: float
-    converged: bool
 
 
 @dataclass
@@ -311,11 +306,7 @@ def certify_e_contraction(
         if worst > 1.0 + 100.0 * tol.eq_tol:
             failed.append("mobius_contractivity")
 
-        try:
-            tuples = joint_eigenvalues([triple.a, triple.b, triple.t], tol)
-        except NotCommutingError:
-            tuples = []
-            failed.append("joint_spectrum")
+        tuples = joint_eigenvalues([triple.a, triple.b, triple.t], tol)
         spectrum_margin = 0.0
         in_closure = []
         for tup in tuples:
@@ -396,44 +387,29 @@ def classify_triple(
 
 
 def compute_Q(t_mat, tol: Tolerances = DEFAULT_TOL) -> QLimit:
-    """Limit projection Q^2 = lim T^n T^{*n} for a contraction T.
+    """Projection Q = lim T^n T^{*n} onto the unitary part H_u of T.
 
-    This is the one rule that decides the unitary part of T: its carrier is
-    H_u for canonical_decomposition, and through it for residual_triple,
-    build_lift and extract_data_set.  The monotone-decreasing sequence is
-    driven by power doubling (P_{2k} = T^k P_k T^{*k}), stopping when
-    consecutive iterates differ by at most psd_tol or the equivalent power
-    count exceeds max_power_iters.  The limit's eigenvalues are snapped to
-    {0, 1}; a snap distance above 100 * psd_tol is reported as
-    non-convergence rather than hidden.
+    T must be a contraction.  This is the one rule that decides the unitary
+    part of T: its carrier is H_u for canonical_decomposition, and through
+    it for residual_triple, build_lift and extract_data_set.  For a
+    contraction, T v = lambda v with |lambda| = 1 implies
+    T* v = conj(lambda) v, so H_u is the span of the eigenvectors of
+    unimodular eigenvalues, and it reduces T.  An eigenvalue counts as
+    unimodular when 1 - |lambda|^2 <= eq_tol (1 + ||T||), never stricter
+    than the unitarity test residual_triple applies to W; one complete QR
+    of those eigenvectors gives the carrier and its complement.
     """
     t = as_matrix(t_mat, square=True, name="T")
-    n = t.shape[0]
-    if _nrm(t) > 1.0 + 10.0 * tol.psd_tol:
-        raise PreconditionError(f"||T|| = {_nrm(t):.6f} exceeds 1")
-    if n == 0:
-        empty = SubspaceBasis(0, np.zeros((0, 0), dtype=complex))
-        return QLimit(t.copy(), empty, empty, 0.0, True)
-    power = t.copy()
-    p_cur = power @ power.conj().T
-    diff = math.inf
-    steps = 0
-    while steps < 64 and (1 << steps) < tol.max_power_iters:
-        power = power @ power
-        p_next = power @ power.conj().T
-        diff = _nrm(p_next - p_cur)
-        p_cur = p_next
-        steps += 1
-        if diff <= tol.psd_tol:
-            break
-    w, v = np.linalg.eigh(0.5 * (p_cur + p_cur.conj().T))
-    deviation = float(np.max(np.minimum(np.abs(w), np.abs(w - 1.0))))
-    mask = w >= 0.5
-    q = v[:, mask] @ v[:, mask].conj().T
-    carrier = SubspaceBasis(n, v[:, mask])
-    complement = SubspaceBasis(n, v[:, ~mask])
-    converged = diff <= 100.0 * tol.psd_tol and deviation <= 100.0 * tol.psd_tol
-    return QLimit(q, carrier, complement, deviation, converged)
+    norm = _nrm(t)
+    if norm > 1.0 + 10.0 * tol.psd_tol:
+        raise PreconditionError(f"||T|| = {norm:.6f} exceeds 1")
+    lam, vecs = np.linalg.eig(t)
+    unimodular = 1.0 - np.abs(lam) ** 2 <= tol.eq_tol * (1.0 + norm)
+    basis, _ = np.linalg.qr(vecs[:, unimodular], mode="complete")
+    k = int(np.count_nonzero(unimodular))
+    carrier = SubspaceBasis(t.shape[0], basis[:, :k])
+    complement = SubspaceBasis(t.shape[0], basis[:, k:])
+    return QLimit(carrier.basis @ carrier.basis.conj().T, carrier, complement)
 
 
 def canonical_decomposition(
@@ -441,9 +417,8 @@ def canonical_decomposition(
 ) -> DecompositionResult:
     """Split the space into the maximal T-unitary part and its complement.
 
-    H_u and H_cnu are the carrier and complement of compute_Q's limit
-    projection, so T must be a contraction; ``q_deviation`` records the
-    limit's snap distance.  No second rule (such as a joint kernel of
+    H_u and H_cnu are the carrier and complement of compute_Q's projection,
+    so T must be a contraction.  No second rule (such as a joint kernel of
     I - T^{*k} T^k and I - T^k T^{*k}) is consulted, so every consumer of
     the unitary part splits a triple the same way.  For genuine tetrablock
     contractions H_u reduces A and B as well; the reduction residuals are
@@ -459,7 +434,7 @@ def canonical_decomposition(
         compress(triple.a, h_cnu), compress(triple.b, h_cnu), compress(triple.t, h_cnu)
     )
 
-    residuals: dict[str, float] = {"q_deviation": ql.deviation}
+    residuals: dict[str, float] = {}
     if h_u.dim:
         tu = unitary_part.t
         eye_u = np.eye(h_u.dim)

@@ -39,7 +39,6 @@ def _provenance(args, tol) -> dict:
             "eq_tol": tol.eq_tol,
             "psd_tol": tol.psd_tol,
             "grid_points": tol.grid_points,
-            "max_power_iters": tol.max_power_iters,
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -130,7 +129,7 @@ def _lift(args, tol):
             "residual_dim": model.residual.dim,
             "tail": model.tail,
             "deficiency": model.deficiency,
-            "strict": md.lift_is_strict(model, tol),
+            "strict": md.lift_is_strict(model),
             "warnings": model.warnings,
         },
         "residuals": residuals,

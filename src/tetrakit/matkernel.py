@@ -47,22 +47,18 @@ class Tolerances:
 
     eq_tol bounds equality residuals, psd_tol bounds eigenvalue/rank
     decisions, grid_points sizes the certifier's circle grid (the circle
-    suprema of numerical_radius and the pencils do not use it),
-    max_power_iters caps the power iteration for strong-operator limits.
+    suprema of numerical_radius and the pencils do not use it).
     """
 
     eq_tol: float = 1e-9
     psd_tol: float = 1e-10
     grid_points: int = 512
-    max_power_iters: int = 10000
 
     def __post_init__(self):
         if not (self.eq_tol > 0 and self.psd_tol > 0):
             raise ValueError("eq_tol and psd_tol must be positive")
         if self.grid_points < 8:
             raise ValueError("grid_points must be at least 8")
-        if self.max_power_iters < 1:
-            raise ValueError("max_power_iters must be positive")
 
 
 DEFAULT_TOL = Tolerances()

@@ -155,6 +155,7 @@ class DouglasModel:
     """Truncated functional model with its lift triple.
 
     v1, v2 and v3 are LiftOperators; ``.dense()`` gives one as a matrix.
+    ``special`` is the special-pair flag of (G1, G2), decided with them.
     The top-degree block of v3* v3 - I is nonzero by construction (the
     truncated shift loses the highest mode); every contract here excludes
     that block and is stated relative to ``tail``.
@@ -169,6 +170,7 @@ class DouglasModel:
     v2: LiftOperator
     v3: LiftOperator
     residual: ResidualTriple
+    special: bool
     tail: float
     deficiency: float
     warnings: list[str] = field(default_factory=list)
@@ -220,7 +222,7 @@ def residual_triple(
     """Compress (A, B, T) to the unitary part of T.
 
     The unitary part is canonical_decomposition's H_u, the carrier of
-    compute_Q's limit projection; W is the compression of T to it, and R, S
+    compute_Q's projection; W is the compression of T to it, and R, S
     those of A, B.  W must come out unitary (a failure means the input was
     not a tetrablock contraction).  The strict flag is set when R, S commute
     and are contractions.
@@ -246,7 +248,6 @@ def _residual_part(
         "pc_rw": _nrm(commutator(r, w)),
         "pc_sw": _nrm(commutator(s, w)),
         "pc_r_eq_sstar_w": _nrm(r - s.conj().T @ w),
-        "q_deviation": dec.residuals["q_deviation"],
         "invariance_a": dec.residuals["reduce_a"],
         "invariance_b": dec.residuals["reduce_b"],
     }
@@ -376,6 +377,7 @@ def build_lift(
         v2=v2,
         v3=v3,
         residual=rt,
+        special=gpair.is_special,
         tail=tail,
         deficiency=deficiency,
         warnings=warnings,
@@ -408,10 +410,9 @@ def verify_lift(
     return out
 
 
-def lift_is_strict(model: DouglasModel, tol: Tolerances = DEFAULT_TOL) -> bool:
+def lift_is_strict(model: DouglasModel) -> bool:
     """Strictness of the lift: special (G1, G2) and a strict residual part."""
-    special, _ = is_special_pair(model.g1, model.g2, tol)
-    return special and model.residual.strict
+    return model.special and model.residual.strict
 
 
 def _defect_carriers(t: np.ndarray, tol: Tolerances):
@@ -762,9 +763,10 @@ def omega_tau(
 ) -> np.ndarray:
     """Residual-space unitary induced by an intertwiner of two triples.
 
-    Given tau with tau (A, B, T) = (A', B', T') tau, maps W^n Q h to
-    W'^n Q' tau h, orthonormalizes over a spanning set, and verifies the
-    result is unitary and intertwines the residual triples.
+    Given tau with tau (A, B, T) = (A', B', T') tau, tau maps the unitary
+    part of T onto that of T', so omega is the polar factor of C2* tau C1,
+    C1 and C2 the residual carriers; it is verified to intertwine the
+    residual triples.
     """
     tau = as_matrix(tau, square=True, name="tau")
     scale = triple.scale_norm()
@@ -787,27 +789,9 @@ def omega_tau(
         raise InconsistentInputError(
             f"residual dimensions differ: {rt1.dim} vs {rt2.dim}"
         )
-    r = rt1.dim
-    if r == 0:
-        return np.zeros((0, 0), dtype=complex)
-    src_cols = []
-    dst_cols = []
-    base1 = rt1.carrier.basis.conj().T
-    base2 = rt2.carrier.basis.conj().T @ tau
-    w_pow1 = np.eye(r, dtype=complex)
-    w_pow2 = np.eye(r, dtype=complex)
-    for _ in range(r + 1):
-        src_cols.append(w_pow1 @ base1)
-        dst_cols.append(w_pow2 @ base2)
-        w_pow1 = rt1.w @ w_pow1
-        w_pow2 = rt2.w @ w_pow2
-    x = np.hstack(src_cols)
-    y = np.hstack(dst_cols)
-    omega = _polar_unitary(y @ np.linalg.pinv(x))
+    omega = _polar_unitary(rt2.carrier.basis.conj().T @ tau @ rt1.carrier.basis)
     bound = 100.0 * tol.eq_tol * scale
-    defining = _nrm(omega @ x - y)
     res = {
-        "defining": defining,
         "r": _nrm(omega @ rt1.r - rt2.r @ omega),
         "s": _nrm(omega @ rt1.s - rt2.s @ omega),
         "w": _nrm(omega @ rt1.w - rt2.w @ omega),

@@ -397,7 +397,6 @@ class TestTolerances:
         assert tol.eq_tol == 1e-9
         assert tol.psd_tol == 1e-10
         assert tol.grid_points == 512
-        assert tol.max_power_iters == 10000
 
     @pytest.mark.parametrize(
         "kwargs", [{"eq_tol": 0.0}, {"psd_tol": -1e-3}, {"grid_points": 4}]

@@ -74,7 +74,6 @@ class TestComputeQ:
     def test_mixed_diagonal(self):
         ql = md.compute_Q(np.diag([1.0, 0.5]))
         assert np.allclose(ql.q, np.diag([1.0, 0.0]), atol=1e-10)
-        assert ql.converged
 
 
 class TestResidualTriple:
@@ -133,6 +132,46 @@ class TestOneUnitaryPart:
                 trip = mixed_triple(seed, pure_dim, unitary_dim)
                 assert assert_one_unitary_part(trip) == unitary_dim
             assert assert_one_unitary_part(nonnormal_triple(seed, 3, 2)) == 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**16),
+        st.lists(st.integers(1, 3), max_size=3),
+        st.integers(0, 4),
+        st.sampled_from(["nonnormal", "jordan"]),
+    )
+    def test_planted_unitary_part(self, seed, repeats, cnu_dim, kind):
+        # T = block_diag(diag(phases), C), Haar-conjugated: each unimodular
+        # phase is repeated, and C is a non-normal or Jordan-type contraction
+        # of norm <= 0.95; the unitary part is the planted one.
+        rng = np.random.default_rng(seed)
+        phases = np.repeat(np.exp(2j * np.pi * rng.uniform(size=len(repeats))), repeats)
+        if kind == "jordan":
+            c = rng.uniform(-0.6, 0.6) * np.eye(cnu_dim) + np.eye(cnu_dim, k=-1)
+        else:
+            c = rng.standard_normal((cnu_dim, cnu_dim)) + 1j * rng.standard_normal((cnu_dim, cnu_dim))
+        if cnu_dim:
+            c *= rng.uniform(0.1, 0.95) / operator_norm(c)
+        k = phases.size
+        u = gen.haar_unitary(rng, k + cnu_dim)
+        zero = np.zeros((k + cnu_dim, k + cnu_dim))
+        trip = cl.OperatorTriple(zero, zero, u @ scipy.linalg.block_diag(np.diag(phases), c) @ u.conj().T)
+        planted = u[:, :k] @ u[:, :k].conj().T
+        assert _nrm(md.compute_Q(trip.t).q - planted) <= 1e-12
+        assert assert_one_unitary_part(trip) == k
+
+
+class TestNearUnitaryFamily:
+    @pytest.mark.parametrize(
+        "eps, unitary_dim", [(1e-3, 0), (1e-5, 0), (1e-7, 0), (1e-9, 1), (1e-11, 1)]
+    )
+    def test_no_member_raises(self, eps, unitary_dim):
+        # 1 - |1 - eps|^2 <= eq_tol (1 + ||T||) holds from eps = 1e-9 down.
+        zero = np.zeros((2, 2))
+        trip = cl.OperatorTriple(zero, zero, np.diag([1.0 - eps, 0.5]))
+        assert md.residual_triple(trip).dim == unitary_dim
+        assert md.extract_data_set(trip, grid=4).residual.dim == unitary_dim
+        assert md.build_lift(trip).residual.dim == unitary_dim
 
 
 def count_calls(monkeypatch, original):
@@ -320,6 +359,7 @@ class TestBuildAndVerifyLift:
             v2=model.v2,
             v3=model.v3,
             residual=model.residual,
+            special=model.special,
             tail=model.tail,
             deficiency=model.deficiency,
         )
@@ -831,6 +871,19 @@ class TestCoincideAgainstKronecker:
         assert assert_coincide_matches_kronecker(*sets).coincide
 
 
+def omega_tau_reference(triple, triple2, tau):
+    """omega_tau as computed before its closed form: omega maps the columns
+    W^k C1* to W'^k C2* tau for k <= r, solved by a pseudo-inverse."""
+    rt1, rt2 = md.residual_triple(triple), md.residual_triple(triple2)
+    r = rt1.dim
+    x = np.hstack([np.linalg.matrix_power(rt1.w, k) @ rt1.carrier.basis.conj().T for k in range(r + 1)])
+    y = np.hstack(
+        [np.linalg.matrix_power(rt2.w, k) @ rt2.carrier.basis.conj().T @ tau for k in range(r + 1)]
+    )
+    u, _, vh = np.linalg.svd(y @ np.linalg.pinv(x))
+    return u @ vh
+
+
 class TestOmegaTau:
     def test_identity(self):
         trip = mixed_triple(3)
@@ -847,6 +900,17 @@ class TestOmegaTau:
             rt1, rt2 = md.residual_triple(trip), md.residual_triple(other)
             for m1, m2 in ((rt1.r, rt2.r), (rt1.s, rt2.s), (rt1.w, rt2.w)):
                 assert operator_norm(omega @ m1 - m2 @ omega) <= 1e-9
+
+    def test_nonnormal_conjugated(self):
+        for seed in range(6):
+            for unitary_dim in (1, 2, 3):
+                trip = nonnormal_triple(seed, 3, unitary_dim)
+                u = gen.haar_unitary(np.random.default_rng(seed + 199), trip.dim)
+                other = trip.conjugate_by(u)
+                omega = md.omega_tau(trip, other, u)
+                want = omega_tau_reference(trip, other, u)
+                assert omega.shape == (unitary_dim, unitary_dim)
+                assert np.allclose(omega, want, atol=1e-12)
 
     def test_pure_triples_give_empty_map(self):
         trip = gen.gen_pure_e_contraction(GenConfig(seed=5, dim=2))
