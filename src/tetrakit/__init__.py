@@ -36,7 +36,6 @@ from .fundops import (
     is_special_pair,
     pencil_contractive,
     solve_quadratic_douglas,
-    symbols_commute,
 )
 from .geometry import (
     MembershipVerdict,

@@ -244,6 +244,17 @@ def check_pc(triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL) -> dict:
     }
 
 
+# Condition (c) of certify_e_contraction: its radii, and the phases of its
+# fixed circle grid followed by the vertices sec(pi/N) e^{i(2k+1)pi/N} of the
+# N-gon circumscribed about that grid.
+_MOBIUS_RADII = (0.9, 0.99, 1.0)
+_MOBIUS_GRID = 128
+_MOBIUS_POINTS = np.concatenate([
+    np.exp(2j * np.pi * np.arange(_MOBIUS_GRID) / _MOBIUS_GRID),
+    np.exp(1j * np.pi * (2 * np.arange(_MOBIUS_GRID) + 1) / _MOBIUS_GRID)
+    / np.cos(np.pi / _MOBIUS_GRID),
+])
+
 # Exponents (i, j, k) of the monomials a^i b^j t^k of total degree <= 3.
 _EXPONENTS = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
 
@@ -262,8 +273,17 @@ def certify_e_contraction(
       (a) pairwise commutativity;
       (b) ||A||, ||B||, ||T|| <= 1 + eq_tol;
       (c) contractivity of the operator Mobius maps (A - zT)(I - zB)^{-1}
-          and the swapped variant on circles of radius 0.9, 0.99 and 1
-          (unit-circle points with numerically singular I - zB are skipped);
+          and the swapped variant on circles of radius 0.9, 0.99 and 1.
+          On |z| = r the map is contractive iff the Hermitian form
+          N*N - P*P <= 0, N = A - zT, P = I - zB, whose top eigenvalue is
+          that of F_r + Re(e^{i theta} M_r), F_r = A*A - I + r^2(T*T - B*B),
+          M_r = 2r(B - A*T); it needs no inverse, so it is defined where
+          I - zB is singular.  It is convex in e^{i theta}: its maximum on
+          a fixed 128-point grid (mobius_form_max) is attained, and its
+          maximum on the vertices of the circumscribed 128-gon
+          (mobius_form_upper) bounds it from above.  The map fails when
+          mobius_form_max exceeds (2d + d^2) scale_norm()^2, d = 100 eq_tol,
+          the image of ||N P^{-1}|| <= 1 + d;
       (d) every joint eigenvalue tuple lies in the closed tetrablock;
       (e) a randomized polynomial von Neumann test of total degree <= 3
           against a sampled distinguished-boundary supremum augmented with
@@ -288,22 +308,25 @@ def certify_e_contraction(
         failed.append("norm_bound")
 
     if commuting:
-        worst = 0.0
-        count = max(tol.grid_points // 4, 64)
-        phases = np.exp(2j * np.pi * np.arange(count) / count)
-        # A 0x0 pencil has no smallest singular value; its Mobius maps are empty.
-        for radius in (0.9, 0.99, 1.0) if n else ():
-            zs = (radius * phases)[:, None, None]
-            for first, second in ((triple.a, triple.b), (triple.b, triple.a)):
-                pencils = eye - zs * second
-                small = np.linalg.svd(pencils, compute_uv=False)[:, -1]
-                keep = small >= 1e-8 * (1.0 + _nrm(second))
-                rhs = (first - zs * triple.t)[keep]
-                # X (I - zB) = A - zT, solved as the transposed system.
-                x = np.linalg.solve(pencils[keep].swapaxes(1, 2), rhs.swapaxes(1, 2))
-                worst = float(np.max(np.linalg.norm(x, 2, axis=(2, 1)), initial=worst))
-        residuals["mobius_sup"] = worst
-        if worst > 1.0 + 100.0 * tol.eq_tol:
+        # Top eigenvalues of the forms, one row per (radius, orientation);
+        # an empty triple's forms are empty and report 0, as in _circle_sup.
+        rows = []
+        t, tt = triple.t, triple.t.conj().T @ triple.t
+        pairs = ((triple.a, triple.b), (triple.b, triple.a)) if n else ()
+        for radius, (first, second) in itertools.product(_MOBIUS_RADII, pairs):
+            fixed = first.conj().T @ first - eye + radius**2 * (tt - second.conj().T @ second)
+            s = _MOBIUS_POINTS[:, None, None] * (radius * (second - first.conj().T @ t))
+            rows.append(np.linalg.eigvalsh(fixed + s + s.conj().swapaxes(1, 2))[:, -1])
+        tops = np.array(rows) if rows else np.zeros((1, 2 * _MOBIUS_GRID))
+        # Where M_r is zero up to rounding the two ends agree only to
+        # rounding; the upper end is kept at or above the lower one.
+        lower = float(np.max(tops[:, :_MOBIUS_GRID]))
+        residuals["mobius_form_max"] = lower
+        residuals["mobius_form_upper"] = max(float(np.max(tops[:, _MOBIUS_GRID:])), lower)
+        # ||X|| <= 1 + d with X = N P^{-1} gives N*N - P*P = P*(X*X - I)P
+        # <= (2d + d^2) ||P||^2, and ||P|| = ||I - zB|| <= scale_norm().
+        delta = 100.0 * tol.eq_tol
+        if lower > (2.0 * delta + delta**2) * triple.scale_norm() ** 2:
             failed.append("mobius_contractivity")
 
         tuples = joint_eigenvalues([triple.a, triple.b, triple.t], tol)

@@ -35,11 +35,7 @@ def _provenance(args, tol) -> dict:
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "tolerances": {
-            "eq_tol": tol.eq_tol,
-            "psd_tol": tol.psd_tol,
-            "grid_points": tol.grid_points,
-        },
+        "tolerances": {"eq_tol": tol.eq_tol, "psd_tol": tol.psd_tol},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
@@ -193,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--other", help="second dataset (coincide)")
     parser.add_argument("--out", help="write the report to this path")
     parser.add_argument("--tol", type=float, default=1e-9, help="equality tolerance")
-    parser.add_argument("--grid", type=int, default=512, help="circle grid points")
+    parser.add_argument("--grid", type=int, default=512, help="Theta sample grid (dataset)")
     parser.add_argument("--order", default="auto", help="truncation order or 'auto'")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--mc-samples", type=int, default=32, dest="mc_samples")
@@ -219,7 +215,7 @@ def main(argv=None) -> int:
         print("input error: coincide requires --other", file=sys.stderr)
         return EXIT_INPUT
     try:
-        tol = Tolerances(eq_tol=args.tol, grid_points=max(args.grid, 8))
+        tol = Tolerances(eq_tol=args.tol)
         provenance = _provenance(args, tol)
         report, positive = _HANDLERS[args.command](args, tol)
         _emit({"provenance": provenance, **report}, args.out)

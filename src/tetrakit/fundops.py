@@ -44,7 +44,6 @@ __all__ = [
     "fundamental_pair",
     "is_special_pair",
     "pencil_contractive",
-    "symbols_commute",
     "pencil_numerical_radius_max",
     "solve_quadratic_douglas",
 ]
@@ -227,26 +226,6 @@ def pencil_contractive(
     shift[:n, n:] = 2.0 * b
     sup = _circle_sup(dilation, [shift], bound=1.0 + tol.eq_tol)[0]
     return sup <= 1.0 + tol.eq_tol, sup
-
-
-def symbols_commute(g1, g2, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Coefficient-wise commutation of the pencils G1* + z G2 and G2* + z G1.
-
-    The product pencils commute iff the z^0, z^1 and z^2 coefficients agree:
-    G1* G2* = G2* G1*, G1* G1 + G2 G2* = G1 G1* + G2* G2 and G1 G2 = G2 G1.
-    The z^0 identity is the adjoint of the z^2 identity, so this is an
-    independent route to the special-pair test.
-    """
-    a = as_matrix(g1, square=True, name="G1")
-    b = as_matrix(g2, square=True, name="G2")
-    if a.shape[0] == 0:
-        return True
-    scale = (1.0 + max(_nrm(a), _nrm(b))) ** 2
-    bound = tol.eq_tol * scale
-    z0 = _nrm(commutator(a.conj().T, b.conj().T))
-    z1 = _nrm(a.conj().T @ a + b @ b.conj().T - a @ a.conj().T - b.conj().T @ b)
-    z2 = _nrm(commutator(a, b))
-    return max(z0, z1, z2) <= bound
 
 
 def pencil_numerical_radius_max(

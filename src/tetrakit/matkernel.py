@@ -46,19 +46,17 @@ class Tolerances:
     """Numerical contract knobs used across the library.
 
     eq_tol bounds equality residuals, psd_tol bounds eigenvalue/rank
-    decisions, grid_points sizes the certifier's circle grid (the circle
-    suprema of numerical_radius and the pencils do not use it).
+    decisions; both must be positive and finite.  No search is sized by a
+    tolerance: the circle suprema and the certifier's circle grid fix
+    their own resolution.
     """
 
     eq_tol: float = 1e-9
     psd_tol: float = 1e-10
-    grid_points: int = 512
 
     def __post_init__(self):
-        if not (self.eq_tol > 0 and self.psd_tol > 0):
-            raise ValueError("eq_tol and psd_tol must be positive")
-        if self.grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
+        if not all(0 < v < math.inf for v in (self.eq_tol, self.psd_tol)):
+            raise ValueError("eq_tol and psd_tol must be positive and finite")
 
 
 DEFAULT_TOL = Tolerances()

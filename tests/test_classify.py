@@ -110,7 +110,8 @@ class TestCertifier:
         frag = cl.certify_e_contraction(trip)
         assert frag["certificate"] is cl.Certificate.PASSED_NECESSARY
         assert frag["failed"] == []
-        assert frag["residuals"]["mobius_sup"] == 0.0
+        assert frag["residuals"]["mobius_form_max"] == 0.0
+        assert frag["residuals"]["mobius_form_upper"] == 0.0
         report = cl.classify_triple(trip)
         assert report.contraction_certificate is cl.Certificate.PASSED_NECESSARY
         assert report.failed_checks == []
@@ -142,8 +143,19 @@ class TestCertifier:
             assert frag["certificate"] is cl.Certificate.PASSED_NECESSARY, frag["failed"]
 
 
+def mobius_form(trip, z, swap=False):
+    """N*N - P*P with N = A - zT, P = I - zB (A and B swapped if swap): the
+    Hermitian form whose top eigenvalue is <= 0 iff ||N P^{-1}|| <= 1.  An
+    array of z gives a stack of forms."""
+    first, second = (trip.b, trip.a) if swap else (trip.a, trip.b)
+    z = np.asarray(z)[..., None, None]
+    n = first - z * trip.t
+    p = np.eye(trip.dim) - z * second
+    return n.conj().swapaxes(-1, -2) @ n - p.conj().swapaxes(-1, -2) @ p
+
+
 def pointwise_certify(trip, mc_samples=64, seed=0, boundary_samples=2048):
-    """The certifier written point by point: one Mobius pencil per z, one
+    """The certifier written point by point: one Mobius form per z, one
     polynomial at a time, each boundary point as a Point3."""
     tol = DEFAULT_TOL
     residuals, failed = {}, []
@@ -154,20 +166,24 @@ def pointwise_certify(trip, mc_samples=64, seed=0, boundary_samples=2048):
     if any(v > 1.0 + tol.eq_tol for v in norms):
         failed.append("norm_bound")
     if commuting:
-        eye = np.eye(trip.dim)
-        worst = 0.0
+        # The form is affine in w = z / r, so at a vertex c e^{i phi} of the
+        # circumscribed 128-gon it mixes the forms at r e^{i phi} and -r e^{i phi}.
+        c = 1.0 / np.cos(np.pi / 128)
+        grid_max = vertex_max = -np.inf
         for radius in (0.9, 0.99, 1.0):
             for k in range(128):
-                z = radius * np.exp(2j * np.pi * k / 128)
-                for first, second in ((trip.a, trip.b), (trip.b, trip.a)):
-                    pencil = eye - z * second
-                    small = np.linalg.svd(pencil, compute_uv=False)[-1]
-                    if small < 1e-8 * (1.0 + operator_norm(second)):
-                        continue
-                    x = np.linalg.solve(pencil.T, (first - z * trip.t).T).T
-                    worst = max(worst, operator_norm(x))
-        residuals["mobius_sup"] = worst
-        if worst > 1.0 + 100.0 * tol.eq_tol:
+                u = np.exp(2j * np.pi * k / 128)
+                v = np.exp(1j * np.pi * (2 * k + 1) / 128)
+                for swap in (False, True):
+                    on_grid = mobius_form(trip, radius * u, swap)
+                    vertex = (0.5 * (1 + c) * mobius_form(trip, radius * v, swap)
+                              + 0.5 * (1 - c) * mobius_form(trip, -radius * v, swap))
+                    grid_max = max(grid_max, np.linalg.eigvalsh(on_grid)[-1])
+                    vertex_max = max(vertex_max, np.linalg.eigvalsh(vertex)[-1])
+        residuals["mobius_form_max"] = grid_max
+        residuals["mobius_form_upper"] = max(vertex_max, grid_max)
+        delta = 100.0 * tol.eq_tol
+        if grid_max > (2.0 * delta + delta**2) * trip.scale_norm() ** 2:
             failed.append("mobius_contractivity")
         try:
             tuples = joint_eigenvalues([trip.a, trip.b, trip.t], tol)
@@ -211,6 +227,23 @@ def assert_matches_pointwise(trip, mc_samples=64, seed=0):
     assert ("von_neumann_excess" in frag["residuals"]) == ("von_neumann_excess" in residuals)
 
 
+# Diagonals of commuting normal triples of dimension 1..4, interleaved (a, b, t).
+NORMAL_ENTRIES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=3 * n,
+        max_size=3 * n,
+    )
+)
+
+
+def normal_triple(entries, seed):
+    """The diagonal triple of entries, conjugated by a Haar unitary."""
+    u = gen.haar_unitary(np.random.default_rng(seed), len(entries) // 3)
+    a, b, t = (u @ np.diag(entries[k::3]) @ u.conj().T for k in range(3))
+    return cl.OperatorTriple(a, b, t)
+
+
 class TestBatchedCertifier:
     def test_generator_classes(self):
         for tag in ClassTag:
@@ -221,8 +254,9 @@ class TestBatchedCertifier:
                     trip = gen.generate(GenConfig(seed=n, dim=n, class_tag=tag))
                 assert_matches_pointwise(trip, seed=n)
 
-    def test_unimodular_eigenvalue_skips_pencils(self):
-        # B has eigenvalue 1, so I - zB is singular at z = 1 on the unit circle.
+    def test_form_defined_where_pencil_is_singular(self):
+        # B has eigenvalue 1, so I - zB is singular at z = 1 on the unit
+        # circle; the form N*N - P*P is evaluated there all the same.
         trip = cl.OperatorTriple(np.diag([0.5, 0.2]), np.diag([1.0, 0.3]), np.diag([0.5, 0.06]))
         assert_matches_pointwise(trip)
 
@@ -231,21 +265,31 @@ class TestBatchedCertifier:
         assert_matches_pointwise(trip)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda n: st.lists(
-                st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
-                min_size=3 * n,
-                max_size=3 * n,
-            )
-        ),
-        st.integers(0, 2**16),
-    )
+    @given(NORMAL_ENTRIES, st.integers(0, 2**16))
     def test_commuting_normal_triples(self, entries, seed):
-        n = len(entries) // 3
-        u = gen.haar_unitary(np.random.default_rng(seed), n)
-        a, b, t = (u @ np.diag(entries[k::3]) @ u.conj().T for k in range(3))
-        assert_matches_pointwise(cl.OperatorTriple(a, b, t), mc_samples=16, seed=seed)
+        assert_matches_pointwise(normal_triple(entries, seed), mc_samples=16, seed=seed)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(NORMAL_ENTRIES, st.integers(0, 2**16))
+    def test_mobius_bracket_holds_the_fine_grid_maximum(self, entries, seed):
+        trip = normal_triple(entries, seed)
+        res = cl.certify_e_contraction(trip, mc_samples=1, seed=seed)["residuals"]
+        fine = np.exp(2j * np.pi * np.arange(4096) / 4096)
+        fine_max = max(
+            np.linalg.eigvalsh(mobius_form(trip, r * fine, swap))[:, -1].max()
+            for r in (0.9, 0.99, 1.0)
+            for swap in (False, True)
+        )
+        assert res["mobius_form_max"] <= res["mobius_form_upper"]
+        assert res["mobius_form_max"] <= fine_max + 1e-12
+        assert res["mobius_form_upper"] >= fine_max - 1e-12
+
+    def test_bracket_closes_on_strict_e_unitaries(self):
+        # B = A*T makes M_r = 0, so the form is constant on each circle.
+        for seed in range(20):
+            trip = gen.gen_strict_e_unitary(GenConfig(seed=seed, dim=1 + seed % 4))
+            res = cl.certify_e_contraction(trip, mc_samples=1, seed=seed)["residuals"]
+            assert 0.0 <= res["mobius_form_upper"] - res["mobius_form_max"] <= 1e-12, seed
 
 
 class TestSymmetrySuite:

@@ -121,6 +121,16 @@ class TestCliExitCodes:
         write_triple(path, trip)
         assert cli.main(["classify", str(path), "--out", str(workdir / "r.json")]) == 2
 
+    def test_infinite_tol_exits_3(self, workdir, capsys):
+        # An infinite tolerance would pass every check of the non-example.
+        trip = gen.gen_non_example(GenConfig(seed=1, dim=3))
+        path = workdir / "bad.json"
+        write_triple(path, trip)
+        out = workdir / "r.json"
+        assert cli.main(["classify", str(path), "--tol", "inf", "--out", str(out)]) == 3
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lift_auto_on_pure(self, workdir):
         trip = gen.gen_pure_e_contraction(GenConfig(seed=3, dim=2))
         path = workdir / "pure.json"

@@ -223,6 +223,20 @@ class TestSpecialPair:
         ok, _ = fo.is_special_pair(nonnormal, np.zeros((2, 2)))
         assert not ok
 
+    def test_toeplitz_truncations_commute_on_interior_rows(self):
+        # Special pairs make the truncated pencil Toeplitz matrices commute
+        # away from the truncation edge.
+        rng = np.random.default_rng(15)
+        d = np.diag(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        e = np.diag(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        blocks = 8
+        sub = np.eye(blocks, k=-1)
+        t1 = np.kron(np.eye(blocks), d.conj().T) + np.kron(sub, e)
+        t2 = np.kron(np.eye(blocks), e.conj().T) + np.kron(sub, d)
+        comm = t1 @ t2 - t2 @ t1
+        interior = comm[: 2 * (blocks - 1), :]
+        assert operator_norm(interior) <= 1e-12
+
 
 class TestPencilContractive:
     def test_scalar_sum(self):
@@ -257,43 +271,6 @@ class TestPencilContractive:
         ok, sup = fo.pencil_contractive(g1, g2)
         assert not ok
         assert sup == pytest.approx(1.001, abs=1e-12)
-
-
-class TestSymbolsCommute:
-    def test_scalars(self):
-        assert fo.symbols_commute([[0.2]], [[0.5j]])
-
-    def test_noncommuting(self):
-        g1 = 0.3 * np.array([[0, 1], [0, 0]], dtype=complex)
-        g2 = 0.3 * np.array([[0, 0], [1, 0]], dtype=complex)
-        assert not fo.symbols_commute(g1, g2)
-
-    def test_matches_special_pair_on_random_pairs(self):
-        rng = np.random.default_rng(14)
-        for k in range(1000):
-            n = 1 + k % 3
-            if k % 2:
-                g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                g2 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            else:
-                d1 = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                d2 = np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-                g1, g2 = d1, d2
-            assert fo.symbols_commute(g1, g2) == fo.is_special_pair(g1, g2)[0]
-
-    def test_toeplitz_truncations_commute_on_interior_rows(self):
-        # Special pairs make the truncated pencil Toeplitz matrices commute
-        # away from the truncation edge.
-        rng = np.random.default_rng(15)
-        d = np.diag(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        e = np.diag(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        blocks = 8
-        sub = np.eye(blocks, k=-1)
-        t1 = np.kron(np.eye(blocks), d.conj().T) + np.kron(sub, e)
-        t2 = np.kron(np.eye(blocks), e.conj().T) + np.kron(sub, d)
-        comm = t1 @ t2 - t2 @ t1
-        interior = comm[: 2 * (blocks - 1), :]
-        assert operator_norm(interior) <= 1e-12
 
 
 class TestQuadraticDouglas:

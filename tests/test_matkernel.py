@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -396,10 +398,10 @@ class TestTolerances:
         tol = mk.Tolerances()
         assert tol.eq_tol == 1e-9
         assert tol.psd_tol == 1e-10
-        assert tol.grid_points == 512
 
     @pytest.mark.parametrize(
-        "kwargs", [{"eq_tol": 0.0}, {"psd_tol": -1e-3}, {"grid_points": 4}]
+        "kwargs",
+        [{"eq_tol": 0.0}, {"psd_tol": -1e-3}, {"eq_tol": math.inf}, {"psd_tol": math.nan}],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
