@@ -69,7 +69,6 @@ from .models import (
     char_function,
     coincide,
     compute_Q,
-    defect_of_theta,
     extract_data_set,
     kernel_model_triple,
     lift_is_strict,

@@ -7,9 +7,11 @@ unique (X1, X2) on the defect space of T with
 
 equivalently the unique solution of the determining equations
 D_T A = X1 D_T + X2* D_T T and D_T B = X2 D_T + X1* D_T T.  It is computed
-in closed form from the sandwich identity and post-verified against the
-determining equations.  The pair built from (A*, B*, T*) drives the
-functional models and is conventionally called (G1, G2).
+in closed form from the sandwich identity and checked against it; with
+commutativity that check bounds the determining residuals as well.  The
+pair built from (A*, B*, T*) drives the functional models and is
+conventionally called (G1, G2).  The pencil bracket and the special-pair
+flag are part of the fundamental_pair report only.
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ __all__ = [
 
 @dataclass
 class FundamentalPair:
-    """Fundamental pair on a defect carrier, in carrier coordinates.
+    """Report of fundamental_pair: the pair on a defect carrier, in carrier
+    coordinates, with what is known of its pencil.
 
+    ``residuals`` holds the sandwich residuals, and on a nonempty carrier
+    the special-pair residuals and ``pencil_nu_excess``.
     [pencil_nu_max, pencil_nu_upper] brackets the supremum over the unit
     circle of the numerical radius of X1 + z X2: pencil_nu_max is an
     attained value, pencil_nu_upper a bound from circumscribed polygons,
@@ -104,24 +109,36 @@ def defect(t_mat, adjoint: bool = False, tol: Tolerances = DEFAULT_TOL):
 def fundamental_pair(
     triple: OperatorTriple, adjoint: bool = False, tol: Tolerances = DEFAULT_TOL
 ) -> FundamentalPair:
-    """The fundamental pair, in closed form from the sandwich identity.
+    """The fundamental pair, in closed form, with its pencil report.
 
     With adjoint=True the pair of (A*, B*, T*) is computed, which is the
     (G1, G2) used by the functional model.  On the defect carrier Q,
-    X1 = L (A - B*T) L* and X2 = L (B - A*T) L* with L = (D Q)^+; the
-    result is post-verified against the sandwich identities
-    A - B*T = D X1 D, B - A*T = D X2 D and the determining equations, and
-    the pencil numerical radius sup over the circle of nu(X1 + z X2) is
-    bracketed together with the special-pair flag.
+    X1 = L (A - B*T) L* and X2 = L (B - A*T) L* with L = (D Q)^+, checked
+    against the sandwich identities A - B*T = D X1 D, B - A*T = D X2 D.
+    The report adds the bracket of the pencil numerical radius
+    sup over the circle of nu(X1 + z X2), its excess over 1 and the
+    special-pair flag; the model builders take the pair alone.
     """
     work = triple.adjoint() if adjoint else triple
-    return _fundamental_pair(work, *defect(work.t, tol=tol), tol)
+    d, carrier = defect(work.t, tol=tol)
+    x1, x2, residuals = _fundamental_pair(work, d, carrier, tol)
+    if carrier.dim == 0:
+        return FundamentalPair(carrier, x1, x2, 0.0, 0.0, True, residuals)
+    nu_max, nu_upper = _circle_sup(0.0, [x1, x2])
+    nu_max = max(nu_max, 0.0)
+    special, special_res = is_special_pair(x1, x2, tol)
+    residuals.update(special_res)
+    # A pencil radius beyond 1 with a consistent solve is evidence that the
+    # input is not a tetrablock contraction, not a solver failure; record
+    # the excess instead of raising.
+    residuals["pencil_nu_excess"] = max(nu_max - 1.0, 0.0)
+    return FundamentalPair(carrier, x1, x2, nu_max, nu_upper, special, residuals)
 
 
 def _fundamental_pair(
     work: OperatorTriple, d: np.ndarray, carrier: SubspaceBasis, tol: Tolerances
-) -> FundamentalPair:
-    """fundamental_pair of ``work`` with D_T and its carrier given."""
+) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """(X1, X2, sandwich residuals) of ``work`` with D_T and its carrier given."""
     commuting, comm_res = is_commuting(work, tol)
     if not commuting:
         raise NotCommutingError(
@@ -144,7 +161,7 @@ def _fundamental_pair(
             raise InconsistentInputError(
                 f"empty defect but A != B*T: residuals {res}"
             )
-        return FundamentalPair(carrier, empty, empty, 0.0, 0.0, True, res)
+        return empty, empty, res
 
     # Closed form on the carrier: with L = (D Q)^+ the sandwich identity
     # A - B*T = (D Q) X1 (D Q)* gives X1 = L (A - B*T) L*, and likewise X2.
@@ -154,31 +171,16 @@ def _fundamental_pair(
     c2 = work.b - work.a.conj().T @ work.t
     x1 = lpinv @ c1 @ lpinv.conj().T
     x2 = lpinv @ c2 @ lpinv.conj().T
-
-    # Post-check against the determining equations
-    # X1 M + X2* M T = M A and X2 M + X1* M T = M B with M = Q* D.
-    m = dq.conj().T
     residuals = {
-        "determining_1": _nrm(x1 @ m + x2.conj().T @ m @ work.t - m @ work.a),
-        "determining_2": _nrm(x2 @ m + x1.conj().T @ m @ work.t - m @ work.b),
         "sandwich_1": _nrm(c1 - dq @ x1 @ dq.conj().T),
         "sandwich_2": _nrm(c2 - dq @ x2 @ dq.conj().T),
     }
-    bound = tol.eq_tol * scale
-    if max(residuals["sandwich_1"], residuals["sandwich_2"]) > bound:
+    if max(residuals.values()) > tol.eq_tol * scale:
         raise InconsistentInputError(
             "sandwich identities inconsistent; input is not a tetrablock "
             f"contraction: residuals {residuals}"
         )
-    nu_max, nu_upper = _circle_sup(0.0, [x1, x2])
-    nu_max = max(nu_max, 0.0)
-    special, special_res = is_special_pair(x1, x2, tol)
-    residuals.update(special_res)
-    # A pencil radius beyond 1 with a consistent solve is evidence that the
-    # input is not a tetrablock contraction, not a solver failure; record
-    # the excess instead of raising.
-    residuals["pencil_nu_excess"] = max(nu_max - 1.0, 0.0)
-    return FundamentalPair(carrier, x1, x2, nu_max, nu_upper, special, residuals)
+    return x1, x2, residuals
 
 
 def is_special_pair(

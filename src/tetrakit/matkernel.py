@@ -305,8 +305,11 @@ def joint_eigenvalues(
     """Joint spectrum of a pairwise-commuting family of square matrices.
 
     A random linear combination (fixed seed) is Schur-triangularized and all
-    members are conjugated into the same triangular basis; the diagonal
-    tuples form the joint spectrum up to O(eq_tol) perturbation.  Output
+    members are conjugated into its Schur basis.  Each member's diagonal
+    entry is averaged over the positions where the combination's
+    eigenvalues agree (within 10 sqrt(n) times the commutator bound), so a
+    derogatory family, whose members that basis need not triangularise,
+    still gives its joint spectrum up to O(eq_tol) perturbation.  Output
     tuples are sorted lexicographically by (Re, Im) of their coordinates.
 
     Raises NotCommutingError if any pairwise commutator exceeds
@@ -332,21 +335,17 @@ def joint_eigenvalues(
                 )
 
     rng = np.random.default_rng(_SCHUR_SEED)
-    stacked = None
-    for _ in range(4):
-        coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
-        combo = sum(c * a for c, a in zip(coeffs, mats))
-        _, z = scipy.linalg.schur(combo, output="complex")
-        conjugated = [z.conj().T @ a @ z for a in mats]
-        lower = max(
-            _norm_or_zero(np.tril(c, -1)) for c in conjugated
-        )
-        if lower <= 10.0 * comm_scale * math.sqrt(n) or stacked is None:
-            stacked = conjugated
-        if lower <= 10.0 * comm_scale * math.sqrt(n):
-            break
+    coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    combo = sum(c * a for c, a in zip(coeffs, mats))
+    tri, z = scipy.linalg.schur(combo, output="complex")
+    # On a repeated eigenvalue of the combination its Schur basis need not
+    # triangularise the members, but their trace over the eigenvalue's
+    # positions is still the multiplicity times the joint eigenvalue.
+    lam = np.diag(tri)
+    same = np.abs(lam[:, None] - lam[None, :]) <= 10.0 * comm_scale * math.sqrt(n)
+    diags = [np.diag(z.conj().T @ a @ z) for a in mats]
     tuples = [
-        tuple(complex(c[i, i]) for c in stacked) for i in range(n)
+        tuple(complex(d[same[i]].mean()) for d in diags) for i in range(n)
     ]
     tuples.sort(key=lambda t: [(z.real, z.imag) for z in t])
     return tuples

@@ -66,7 +66,6 @@ __all__ = [
     "verify_lift",
     "lift_is_strict",
     "char_function",
-    "defect_of_theta",
     "theta_sample_points",
     "extract_data_set",
     "coincide",
@@ -346,14 +345,13 @@ def build_lift(
     of T* once, for both the order search and the embedding.
     """
     d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
-    gpair = _fundamental_pair(triple.adjoint(), d_op, d_carrier, tol)
+    g1, g2, _ = _fundamental_pair(triple.adjoint(), d_op, d_carrier, tol)
     rt = residual_triple(triple, tol)
     rows, tail, n_order, capped = _observability_rows(triple.t, d_op, d_carrier, n_order)
     warnings = [f"truncation order capped at {_MAX_ORDER}; tail target not met"] if capped else []
     pi = np.vstack(rows + [rt.carrier.basis.conj().T])
     d = d_carrier.dim
     blocks = n_order + 1
-    g1, g2 = gpair.x1, gpair.x2
 
     v3 = LiftOperator(np.zeros((d, d), dtype=complex), np.eye(d), blocks, rt.w)
     v1 = LiftOperator(g1.conj().T, g2, blocks, rt.r)
@@ -377,7 +375,7 @@ def build_lift(
         v2=v2,
         v3=v3,
         residual=rt,
-        special=gpair.is_special,
+        special=is_special_pair(g1, g2, tol)[0],
         tail=tail,
         deficiency=deficiency,
         warnings=warnings,
@@ -453,14 +451,6 @@ def char_function(
     return _theta_stack(t, [complex(z)], _defect_carriers(t, tol))[0]
 
 
-def defect_of_theta(
-    t_mat, zeta: complex, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Boundary defect (I - Theta(zeta)* Theta(zeta))^{1/2} of the sample."""
-    theta = char_function(t_mat, zeta, tol)
-    return psd_sqrt(np.eye(theta.shape[1]) - theta.conj().T @ theta, tol)
-
-
 def theta_sample_points(interior: int, boundary: int) -> list[complex]:
     """Sampling grid: z = 0, an interior circle of radius 0.95, and the
     unit circle."""
@@ -491,10 +481,10 @@ def extract_data_set(
     points = theta_sample_points(grid, boundary)
     carriers = _defect_carriers(work.t, tol)
     samples = list(zip(points, _theta_stack(work.t, points, carriers)))
-    gpair = _fundamental_pair(work.adjoint(), *carriers[2:], tol)
+    g1, g2, _ = _fundamental_pair(work.adjoint(), *carriers[2:], tol)
     theta0 = samples[0][1]
     pure = theta0.shape[1] == 0 or _nrm(theta0) < 1.0 - tol.eq_tol
-    return TetrablockDataSet(samples, gpair.x1, gpair.x2, rt, pure)
+    return TetrablockDataSet(samples, g1, g2, rt, pure)
 
 
 def _match_samples(d1: TetrablockDataSet, d2: TetrablockDataSet):

@@ -41,6 +41,18 @@ class TestDefect:
             fo.defect(1.5 * np.eye(2))
 
 
+def determining_residuals(trip, pair, adjoint=False):
+    """||X1 M + X2* M T - M A|| and ||X2 M + X1* M T - M B|| with M = Q* D,
+    evaluated from the pair rather than read from the library."""
+    work = trip.adjoint() if adjoint else trip
+    m = pair.carrier.basis.conj().T @ fo.defect(work.t)[0]
+    x1, x2 = pair.x1, pair.x2
+    return (
+        operator_norm(x1 @ m + x2.conj().T @ m @ work.t - m @ work.a),
+        operator_norm(x2 @ m + x1.conj().T @ m @ work.t - m @ work.b),
+    )
+
+
 class TestFundamentalPair:
     def test_scalar_closed_form(self):
         trip = scalar_triple(0.5, 0.5, 0.25)
@@ -84,23 +96,17 @@ class TestFundamentalPair:
                 assert pair.residuals["sandwich_1"] <= 1e-9 * scale
                 assert pair.residuals["sandwich_2"] <= 1e-9 * scale
                 assert pair.pencil_nu_max <= 1 + 1e-8
-                assert pair.residuals["determining_1"] <= 1e-9 * scale
-                assert pair.residuals["determining_2"] <= 1e-9 * scale
+                for res in determining_residuals(trip, pair, adjoint):
+                    assert res <= 1e-9 * scale
 
     def test_cross_check_against_determining_equations(self):
-        # Independent oracle: the determining equations X1 M + X2* N = C1,
-        # X2 M + X1* N = C2 with M = Q* D, N = M T, C1 = M A, C2 = M B,
-        # evaluated here rather than read from the library's residuals.
+        # Independent oracle: the determining equations, which the library
+        # does not evaluate.
         for seed in range(10):
             trip = random_e_contraction(seed, 3)
             pair = fo.fundamental_pair(trip)
-            d, carrier = fo.defect(trip.t)
-            m = carrier.basis.conj().T @ d
-            n = m @ trip.t
-            x1, x2 = pair.x1, pair.x2
-            bound = 1e-9 * trip.scale_norm()
-            assert operator_norm(x1 @ m + x2.conj().T @ n - m @ trip.a) <= bound
-            assert operator_norm(x2 @ m + x1.conj().T @ n - m @ trip.b) <= bound
+            for res in determining_residuals(trip, pair):
+                assert res <= 1e-9 * trip.scale_norm()
 
     def test_swap_coherence(self):
         for seed in range(20):
@@ -136,8 +142,10 @@ class TestFundamentalPair:
                 for x, beta in ((pair.x1, b1), (pair.x2, b2)):
                     exact = u @ np.diag(beta) @ u.conj().T
                     assert operator_norm(q @ x @ q.conj().T - exact) <= 1e-13 / gap
-                for name in ("sandwich_1", "sandwich_2", "determining_1", "determining_2"):
+                for name in ("sandwich_1", "sandwich_2"):
                     assert pair.residuals[name] <= 1e-9 * scale, (gap, name)
+                for res in determining_residuals(trip, pair):
+                    assert res <= 1e-9 * scale, gap
                 assert pair.pencil_nu_max <= 1 + 1e-8, gap
                 swapped = fo.fundamental_pair(trip.swapped())
                 assert operator_norm(swapped.x1 - pair.x2) <= 1e-9

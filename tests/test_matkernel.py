@@ -357,6 +357,25 @@ class TestJointEigenvalues:
         tuples = mk.joint_eigenvalues([np.eye(3)] * 3)
         assert tuples == [(1 + 0j, 1 + 0j, 1 + 0j)] * 3
 
+    def test_derogatory_family(self):
+        # Two 2x2 Jordan blocks at one joint eigenvalue make it 4-fold for
+        # every combination, whose Schur basis then need not triangularise
+        # the members; three simple tuples complete the 7x7 family.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            joint = (0.2, 0.05, 0.1)
+            simple = rng.uniform(-0.5, 0.5, (3, 3)) + 1j * rng.uniform(-0.5, 0.5, (3, 3))
+            u = haar_unitary(rng, 7)
+            family = []
+            for k in range(3):
+                m = np.diag(np.concatenate([[joint[k]] * 4, simple[:, k]])).astype(complex)
+                m[0, 1], m[2, 3] = rng.uniform(0.1, 0.3, 2)
+                family.append(u @ m @ u.conj().T)
+            expected = [joint] * 4 + [tuple(row) for row in simple]
+            expected.sort(key=lambda t: [(complex(z).real, complex(z).imag) for z in t])
+            tuples = mk.joint_eigenvalues(family)
+            assert np.abs(np.array(tuples) - np.array(expected)).max() <= 1e-12, seed
+
     def test_rejects_noncommuting(self):
         e01 = np.array([[0, 1], [0, 0]], dtype=complex)
         with pytest.raises(NotCommutingError):

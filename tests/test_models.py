@@ -232,6 +232,30 @@ def test_shared_defect_gives_the_public_pair(make):
     assert np.array_equal(ds.g1, cnu_pair.x1) and np.array_equal(ds.g2, cnu_pair.x2)
 
 
+def test_pipeline_pair_skips_the_pencil_bracket(monkeypatch):
+    # The model builders take the closed-form pair alone; only the
+    # fundamental_pair report brackets the pencil supremum.
+    trip = gen.gen_pure_e_contraction(GenConfig(seed=4, dim=3))
+    calls = count_calls(monkeypatch, fo._circle_sup)
+    md.build_lift(trip, 3)
+    md.extract_data_set(trip, grid=4)
+    assert len(calls) == 0
+    fo.fundamental_pair(trip, adjoint=True)
+    assert len(calls) == 1
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(0, 2**16))
+def test_pipeline_pair_matches_the_report(n, seed):
+    trip = gen.gen_pure_e_contraction(GenConfig(seed=seed, dim=n))
+    pair = fo.fundamental_pair(trip, adjoint=True)
+    model = md.build_lift(trip, 2)
+    ds = md.extract_data_set(trip, grid=2)
+    for g1, g2 in ((model.g1, model.g2), (ds.g1, ds.g2)):
+        assert _nrm(g1 - pair.x1) <= 1e-12 and _nrm(g2 - pair.x2) <= 1e-12
+    assert model.special == pair.is_special
+
+
 class TestEmbedding:
     def test_t_zero_identity_embedding(self):
         trip = cl.OperatorTriple(0.3 * np.eye(2), 0.2 * np.eye(2), np.zeros((2, 2)))
@@ -614,14 +638,20 @@ class TestStackedTheta:
         assert_theta_matches_pointwise(trip, grid)
 
 
+def boundary_defect_spectrum(t, zeta):
+    """Eigenvalues of I - Theta(zeta)* Theta(zeta), the square of the
+    sample's boundary defect."""
+    theta = md.char_function(t, zeta)
+    return np.linalg.eigvalsh(np.eye(theta.shape[1]) - theta.conj().T @ theta)
+
+
 class TestDefectOfTheta:
     def test_t_zero(self):
-        delta = md.defect_of_theta(np.zeros((2, 2)), 1.0)
-        assert np.allclose(delta, np.zeros((2, 2)), atol=1e-9)
+        assert np.all(np.abs(boundary_defect_spectrum(np.zeros((2, 2)), 1.0)) <= 1e-18)
 
     def test_scalar_inner(self):
-        delta = md.defect_of_theta(np.array([[0.5]]), cmath.exp(0.7j))
-        assert abs(delta[0, 0]) <= 1e-7
+        w = boundary_defect_spectrum(np.array([[0.5]]), cmath.exp(0.7j))
+        assert np.all(np.abs(w) <= 1e-14)
 
     def test_boundary_values_are_inner(self):
         # At regular boundary points the characteristic function of a
@@ -631,7 +661,7 @@ class TestDefectOfTheta:
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             t = 0.7 * g / operator_norm(g)
             zeta = cmath.exp(2j * cmath.pi * rng.uniform())
-            assert operator_norm(md.defect_of_theta(t, zeta)) <= 1e-7
+            assert np.all(np.abs(boundary_defect_spectrum(t, zeta)) <= 1e-14)
 
     def test_interior_defect_strictly_positive(self):
         # Inside the disk the sample of a strict contraction is strictly
