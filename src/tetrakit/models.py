@@ -15,6 +15,7 @@ All guarantees are expressed relative to the truncation tail
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -77,6 +78,7 @@ __all__ = [
 _MAX_ORDER = 512
 _ORDER_TAIL_TARGET = 1e-10
 _ORDER_BLOCK = 32  # auto_order's tails per batched norm
+_CLUSTER_GAP = 1e-2  # coincide: relative singular-value gap below which D has a block
 
 
 @dataclass
@@ -519,7 +521,7 @@ def _unitary_candidates(
     and eight seeded combinations of the near-null basis, which for a wide
     system includes the directions beyond its rows; each block is
     polar-corrected, and a candidate with a numerically singular block is
-    dropped.  Callers keep the candidate whose verified residual is smallest.
+    dropped.  Callers verify each candidate.
     """
     # A tall system's economy vh is already square, so U is skipped; a wide
     # system needs the full vh, whose rows beyond its own carry null directions.
@@ -533,17 +535,136 @@ def _unitary_candidates(
         for _ in range(8):
             coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
             vectors.append(coeffs @ basis)
-    cuts = np.cumsum([rows * cols for rows, cols in shapes])[:-1]
     candidates = []
-    for vec in vectors:
-        blocks = [
-            piece.reshape(cols, rows).T
-            for piece, (rows, cols) in zip(np.split(vec, cuts), shapes)
-        ]
-        if any(min(b.shape) and np.linalg.svd(b, compute_uv=False)[-1] < 1e-8 for b in blocks):
-            continue
-        candidates.append([_polar_unitary(b) if min(b.shape) else b for b in blocks])
+    # A real system gives a real first vector; it keeps its own (real) stack.
+    for _, group in itertools.groupby(vectors, key=lambda vec: vec.dtype):
+        candidates += _polar_blocks(np.array(list(group)), shapes)
     return candidates
+
+
+def _polar_blocks(vectors: np.ndarray, shapes) -> list[list[np.ndarray]]:
+    """Split each row of vectors into column-major blocks of the given
+    shapes and polar-correct them; a row with a numerically singular block
+    is dropped.  One batched SVD per shape gives both the singular-value
+    test and the polar factor."""
+    pieces = np.split(vectors, np.cumsum([rows * cols for rows, cols in shapes])[:-1], axis=1)
+    blocks = [None] * len(shapes)
+    keep = np.ones(len(vectors), dtype=bool)
+    for rows, cols in dict.fromkeys(shapes):
+        where = [k for k, shape in enumerate(shapes) if shape == (rows, cols)]
+        stack = np.stack([pieces[k] for k in where], axis=1)
+        stack = stack.reshape(len(vectors), len(where), cols, rows).swapaxes(-1, -2)
+        if rows and cols:
+            u, s, w = np.linalg.svd(stack, full_matrices=False)
+            keep &= ~np.any(s[..., -1] < 1e-8, axis=1)
+            stack = u @ w
+        for j, k in enumerate(where):
+            blocks[k] = stack[:, j]
+    return [[b[v] for b in blocks] for v in np.flatnonzero(keep)]
+
+
+def _defect_residuals(phi, phi_star, m1s, m2s, d1, d2) -> tuple[float, float]:
+    """Verified residuals of (phi, phi_star): the worst matched sample, then
+    the worse of the two fundamental operators."""
+    t_res = _max_nrm(phi_star @ m1s - m2s @ phi)
+    f_res = max(
+        _nrm(phi_star @ d1.g1 - d2.g1 @ phi_star),
+        _nrm(phi_star @ d1.g2 - d2.g2 @ phi_star),
+    )
+    return t_res, f_res
+
+
+def _phase_coincidence(m1s, m2s, d1, d2, bound: float):
+    """(phi, phi_star, theta residual, fundamental residual) from a phase
+    system in the singular-vector basis of one sample, or None when this
+    route does not apply.
+
+    Unitaries keep singular values, so where Theta1 = U1 S V1* has simple,
+    nonzero singular values, every coincidence is phi = V2 D V1* and
+    phi_star = U2 D U1* with D diagonal unitary and Theta2 = U2 S V2* at the
+    same point.  In those bases each sample and both G's give the rows
+    (D X1 - X2 D)_ij = 0.  Singular vectors are only computed to about
+    eps ||Theta|| / gap, so singular values closer than _CLUSTER_GAP ||Theta||
+    share one unitary block of D, which absorbs that rotation; the other
+    blocks are phases.  Among the samples whose singular values are simple
+    and nonzero (every gap, and the smallest value, above bound), the
+    reference is the one with the fewest unknowns, then the largest gap.
+    The first candidate verified within bound is returned.  None (non-square
+    or empty stacks, no such sample, singular values that differ, no
+    verified candidate) leaves the decision to the Kronecker system.
+    """
+    p, out, inn = m1s.shape
+    if not p or out != inn:
+        return None
+    svals = np.linalg.svd(m1s, compute_uv=False)
+    steps = svals[:, :-1] - svals[:, 1:]
+    gaps = np.min(np.concatenate([steps, svals[:, -1:]], axis=1), axis=1)
+    cluster = np.cumsum(np.c_[np.zeros(p, bool), steps >= _CLUSTER_GAP * svals[:, :1]], axis=1)
+    unknowns = np.sum(cluster[:, :, None] == cluster[:, None, :], axis=(1, 2))
+    usable = np.flatnonzero(gaps > bound)
+    if not usable.size:
+        return None
+    ref = usable[np.lexsort((-gaps[usable], unknowns[usable]))[0]]
+    u1, s1, v1h = np.linalg.svd(m1s[ref])
+    u2, s2, v2h = np.linalg.svd(m2s[ref])
+    if np.max(np.abs(s1 - s2)) > bound:
+        return None
+    gs1 = np.stack([d1.g1, d1.g2])
+    gs2 = np.stack([d2.g1, d2.g2])
+    x1 = np.concatenate([u1.conj().T @ m1s @ v1h.conj().T, u1.conj().T @ gs1 @ u1])
+    x2 = np.concatenate([u2.conj().T @ m2s @ v2h.conj().T, u2.conj().T @ gs2 @ u2])
+    # Unknowns D[a_k, b_k] over the blocks in order, each column-major.
+    _, starts, sizes = np.unique(cluster[ref], return_index=True, return_counts=True)
+    b, a = np.nonzero(cluster[ref][:, None] == cluster[ref])
+    k = np.arange(len(a))
+    system = np.zeros((len(x1), inn, inn, len(a)), dtype=complex)
+    system[:, a, :, k] = x1[:, b, :].transpose(1, 0, 2)  # (D X1)_aj has D_ab X1_bj
+    system[:, :, b, k] -= x2[:, :, a]  # (X2 D)_ib has X2_ia D_ab
+    shapes = [(c, c) for c in sizes]
+    for blocks in _unitary_candidates(system.reshape(-1, len(a)), shapes):
+        d = np.zeros((inn, inn), dtype=complex)
+        for start, size, block in zip(starts, sizes, blocks):
+            d[start:start + size, start:start + size] = block
+        phi = v2h.conj().T @ d @ v1h
+        phi_star = u2 @ d @ u1.conj().T
+        t_res, f_res = _defect_residuals(phi, phi_star, m1s, m2s, d1, d2)
+        if max(t_res, f_res) <= bound:
+            return phi, phi_star, t_res, f_res
+    return None
+
+
+def _kronecker_coincidence(m1s, m2s, d1, d2):
+    """(phi, phi_star, theta residual, fundamental residual) with the least
+    verified residual among the candidates of the full Kronecker system in
+    vec(phi) (in x in) and vec(phi_star) (out x out); phi is None, and both
+    residuals infinite, when no candidate survives.  It has P in out +
+    2 out^2 rows and in^2 + out^2 columns, so its SVD costs O(P n^6).
+    """
+    _, out, inn = m1s.shape
+    if inn == 0 and out == 0:
+        empty = np.zeros((0, 0), dtype=complex)
+        return empty, empty, 0.0, 0.0
+    # Row blocks [-(I kron m2_p) | (m1_p^T kron I)] for all samples p; they
+    # act on vec(phi) and vec(phi_star), column-major.
+    rows = len(m1s) * inn * out
+    on_phi = -np.einsum("ij,pab->piajb", np.eye(inn), m2s).reshape(rows, inn * inn)
+    on_star = np.einsum("pji,ab->piajb", m1s, np.eye(out)).reshape(rows, out * out)
+    blocks = [np.hstack([on_phi, on_star])]
+    for g_a, g_b in ((d1.g1, d2.g1), (d1.g2, d2.g2)):
+        blocks.append(
+            np.hstack(
+                [
+                    np.zeros((out * out, inn * inn)),
+                    np.kron(g_a.T, np.eye(out)) - np.kron(np.eye(out), g_b),
+                ]
+            )
+        )
+    best = (None, None, math.inf, math.inf)
+    for phi, phi_star in _unitary_candidates(np.vstack(blocks), [(inn, inn), (out, out)]):
+        t_res, f_res = _defect_residuals(phi, phi_star, m1s, m2s, d1, d2)
+        if max(t_res, f_res) < max(best[2:]):
+            best = (phi, phi_star, t_res, f_res)
+    return best
 
 
 def coincide(
@@ -553,14 +674,21 @@ def coincide(
 
     Searches for unitaries (phi, phi_star) intertwining all matched Theta
     samples and the fundamental pairs, and an independent unitary omega
-    intertwining the residual triples; all candidates come from a joint
+    intertwining the residual triples; all candidates come from a
     least-squares nullspace with polar correction and are re-verified.
-    The matched samples are stacked once: the candidate system is assembled
-    from the stack in one call and solved by an economy SVD when it is
-    tall, and each candidate is checked by one batched norm.
-    A negative verdict carries residuals; residuals between tol and
-    sqrt(tol) are flagged undecided.  Residual-space coordinates are only
-    determined up to a fixed unitary, so omega is searched, not induced.
+    The matched samples are stacked once.  When omega verifies, (phi,
+    phi_star) is first sought in the singular-vector basis of one sample of
+    Theta1 with simple, nonzero singular values, where it is V2 D V1* and
+    U2 D U1* with D diagonal unitary (a unitary block for singular values
+    too close for their vectors to be accurate): one system in about n
+    unknowns, O(P n^4) for P samples.  Non-square or empty stacks, no such
+    sample, singular values of Theta1 and Theta2 that differ there, or no
+    candidate verified within tol fall back to the Kronecker system in
+    vec(phi) and vec(phi_star), O(P n^6), which alone gives every negative
+    or undecided verdict.  A negative verdict carries residuals; residuals
+    between tol and sqrt(tol) are flagged undecided.  Residual-space
+    coordinates are only determined up to a fixed unitary, so omega is
+    searched, not induced.
     """
     in1, out1 = d1.defect_dims
     in2, out2 = d2.defect_dims
@@ -578,45 +706,6 @@ def coincide(
     scale = 1.0 + max(_max_nrm(m1s), _nrm(d1.g1), _nrm(d1.g2), _nrm(d2.g1), _nrm(d2.g2))
     bound = tol.eq_tol * scale
 
-    # Defect part: unknowns phi (in2 x in1) and phi_star (out2 x out1).
-    phi = phi_star = None
-    if in1 == 0 and out1 == 0:
-        phi = np.zeros((0, 0), dtype=complex)
-        phi_star = np.zeros((0, 0), dtype=complex)
-        theta_res = 0.0
-        fund_res = 0.0
-    else:
-        # Row blocks [-(I kron m2_p) | (m1_p^T kron I)] for all samples p; they
-        # act on vec(phi) and vec(phi_star), column-major.
-        rows = len(pairs) * in1 * out2
-        on_phi = -np.einsum("ij,pab->piajb", np.eye(in1), m2s).reshape(rows, in1 * in2)
-        on_star = np.einsum("pji,ab->piajb", m1s, np.eye(out2)).reshape(rows, out1 * out2)
-        blocks = [np.hstack([on_phi, on_star])]
-        for g_a, g_b in ((d1.g1, d2.g1), (d1.g2, d2.g2)):
-            blocks.append(
-                np.hstack(
-                    [
-                        np.zeros((out2 * out1, in2 * in1)),
-                        np.kron(g_a.T, np.eye(out2)) - np.kron(np.eye(out1), g_b),
-                    ]
-                )
-            )
-        theta_res = math.inf
-        fund_res = math.inf
-        shapes = [(in2, in1), (out2, out1)]
-        for phi_c, star_c in _unitary_candidates(np.vstack(blocks), shapes):
-            t_res = _max_nrm(star_c @ m1s - m2s @ phi_c)
-            f_res = max(
-                _nrm(star_c @ d1.g1 - d2.g1 @ star_c),
-                _nrm(star_c @ d1.g2 - d2.g2 @ star_c),
-            )
-            if max(t_res, f_res) < max(theta_res, fund_res):
-                theta_res, fund_res = t_res, f_res
-                phi, phi_star = phi_c, star_c
-
-    report.residuals["theta"] = theta_res
-    report.residuals["fundamental"] = fund_res
-
     omega = np.zeros((0, 0), dtype=complex)
     res_res = 0.0
     rdim = d1.residual.dim
@@ -633,6 +722,11 @@ def coincide(
             res = max(_nrm(cand @ x - y @ cand) for x, y in res_pairs)
             if res < res_res:
                 omega, res_res = cand, res
+
+    found = _phase_coincidence(m1s, m2s, d1, d2, bound) if res_res <= bound else None
+    phi, phi_star, theta_res, fund_res = found or _kronecker_coincidence(m1s, m2s, d1, d2)
+    report.residuals["theta"] = theta_res
+    report.residuals["fundamental"] = fund_res
     report.residuals["residual"] = res_res
     if omega is None:
         report.note = "no unitary intertwines the residual triples"

@@ -901,6 +901,109 @@ class TestCoincideAgainstKronecker:
         assert assert_coincide_matches_kronecker(*sets).coincide
 
 
+def conjugated_data_sets(trip, seed=7000):
+    u = gen.haar_unitary(np.random.default_rng(seed + trip.dim), trip.dim)
+    return md.extract_data_set(trip, grid=8), md.extract_data_set(trip.conjugate_by(u), grid=8)
+
+
+def zero_ab(t):
+    zero = np.zeros_like(t)
+    return cl.OperatorTriple(zero, zero, t)
+
+
+@pytest.fixture
+def no_kronecker(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Kronecker system was solved")
+
+    monkeypatch.setattr(md, "_kronecker_coincidence", refuse)
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    return count_calls(monkeypatch, md._kronecker_coincidence)
+
+
+class TestPhaseRoute:
+    """Which route decides: the diagonal phase system in the singular-vector
+    basis of one sample, or the Kronecker system it falls back to."""
+
+    def test_pure_pairs_need_no_kronecker_system(self, no_kronecker):
+        for n in range(2, 13):
+            d1, d2 = conjugated_data_sets(gen.gen_pure_e_contraction(GenConfig(seed=n, dim=n)))
+            rep = md.coincide(d1, d2)
+            assert rep.coincide, (n, rep.residuals)
+            assert max(rep.residuals.values()) <= 1e-9
+
+    def test_nonnormal_and_mixed_pairs_need_no_kronecker_system(self, no_kronecker):
+        trips = [nonnormal_triple(1, 6), nonnormal_triple(2, 3, 2)]
+        trips += [mixed_triple(seed, p, u) for p, u in ((2, 2), (4, 4)) for seed in range(3)]
+        for trip in trips:
+            rep = md.coincide(*conjugated_data_sets(trip))
+            assert rep.coincide, rep.residuals
+            assert max(rep.residuals.values()) <= 1e-9
+
+    def test_special_sets_need_no_kronecker_system(self, no_kronecker):
+        for seed in range(4):
+            dataset, trip = gen.gen_scalar_special_model(GenConfig(seed=seed, dim=1))
+            extracted = md.extract_data_set(trip, grid=16, boundary=128)
+            assert md.coincide(dataset, extracted).coincide
+
+    def assert_kronecker_decides(self, kronecker_calls, d1, d2):
+        rep = assert_coincide_matches_kronecker(d1, d2)
+        assert len(kronecker_calls) == 1
+        m1s, m2s = kronecker_calls[0][:2]
+        _, _, theta_res, fund_res = md._kronecker_coincidence(m1s, m2s, d1, d2)
+        assert (rep.residuals["theta"], rep.residuals["fundamental"]) == (theta_res, fund_res)
+        kronecker_calls.clear()
+        return rep
+
+    def test_repeated_and_zero_singular_values_fall_back(self, kronecker_calls):
+        # A normal T with a repeated eigenvalue repeats a singular value in
+        # every sample; T = 0.6 (J2 + J2) is nilpotent, so Theta(0) has
+        # zero singular values, and every other sample repeats each one.
+        jordan = np.diag([0.6], 1)
+        normal = np.diag([0.5, 0.5, -0.3j])
+        for t in (normal, scipy.linalg.block_diag(jordan, jordan)):
+            u = gen.haar_unitary(np.random.default_rng(1), t.shape[0])
+            d1, d2 = conjugated_data_sets(zero_ab(u @ t @ u.conj().T))
+            assert self.assert_kronecker_decides(kronecker_calls, d1, d2).coincide
+
+    def test_sets_without_samples_fall_back(self, kronecker_calls):
+        sets = []
+        for ds in conjugated_data_sets(mixed_triple(5)):
+            sets.append(md.TetrablockDataSet([], ds.g1, ds.g2, ds.residual, ds.pure_flag))
+        assert self.assert_kronecker_decides(kronecker_calls, *sets).coincide
+
+    def test_mismatched_pairs_fall_back(self, kronecker_calls):
+        pairs = [(scalar_triple(0.2, 0.1, t1), scalar_triple(0.2, 0.1, t2))
+                 for t1, t2 in ((0.3, 0.6), (0.15, 0.85))]
+        pairs.append((mixed_triple(1), mixed_triple(2)))
+        pairs.append((nonnormal_triple(1, 4), nonnormal_triple(2, 4)))
+        for first, second in pairs:
+            d1 = md.extract_data_set(first, grid=8)
+            d2 = md.extract_data_set(second, grid=8)
+            assert not self.assert_kronecker_decides(kronecker_calls, d1, d2).coincide
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 10_000),
+    nonnormal=st.booleans(),
+)
+def test_conjugated_pairs_match_the_kronecker_reference(n, seed, nonnormal):
+    trip = nonnormal_triple(seed, n) if nonnormal else gen.gen_pure_e_contraction(
+        GenConfig(seed=seed, dim=n))
+    d1, d2 = conjugated_data_sets(trip, seed)
+    rep = assert_coincide_matches_kronecker(d1, d2)
+    assert rep.coincide
+    assert max(rep.residuals.values()) <= 1e-9
+    # T moved by 1e-3 (scaled, so A and B still commute with it).
+    moved = cl.OperatorTriple(trip.a, trip.b, (1.0 + 1e-3) * trip.t)
+    assert_coincide_matches_kronecker(d1, md.extract_data_set(moved, grid=8))
+
+
 def omega_tau_reference(triple, triple2, tau):
     """omega_tau as computed before its closed form: omega maps the columns
     W^k C1* to W'^k C2* tau for k <= r, solved by a pseudo-inverse."""
