@@ -84,8 +84,45 @@ class OperatorTriple:
         uh = u.conj().T
         return OperatorTriple(u @ self.a @ uh, u @ self.b @ uh, u @ self.t @ uh)
 
+    def __reduce__(self):
+        # Copies and unpickled triples are rebuilt, so their arrays are
+        # read-only too and their norm table is filled afresh.
+        return OperatorTriple, (self.a, self.b, self.t)
+
     def scale_norm(self) -> float:
-        return 1.0 + max(_nrm(self.a), _nrm(self.b), _nrm(self.t))
+        return 1.0 + max(self._norms(*_NORMS).values())
+
+    def _norm(self, key: str) -> float:
+        """One entry of the triple's norm table (_FORMULAS), computed on
+        first use and kept: the arrays are read-only, so it cannot go stale."""
+        table = self.__dict__.setdefault("_norm_table", {})
+        if key not in table:
+            table[key] = _nrm(_FORMULAS[key](self.a, self.b, self.t))
+        return table[key]
+
+    def _norms(self, *keys: str) -> dict[str, float]:
+        """A new dict of the named entries of the norm table."""
+        return {k: self._norm(k) for k in keys}
+
+
+# The tol-free norms of a triple, keyed by their residual names: the norms
+# of A, B, T, the commutators, and the identities A = B*T, B = A*T, T*T = I
+# and TT* = I.  Each is written only here.
+_NORMS = ("norm_a", "norm_b", "norm_t")
+_COMMUTATORS = ("comm_ab", "comm_at", "comm_bt")
+_IDENTITIES = ("a_minus_bstar_t", "b_minus_astar_t", "isometry_t", "coisometry_t")
+_FORMULAS = {
+    "norm_a": lambda a, b, t: a,
+    "norm_b": lambda a, b, t: b,
+    "norm_t": lambda a, b, t: t,
+    "comm_ab": lambda a, b, t: commutator(a, b),
+    "comm_at": lambda a, b, t: commutator(a, t),
+    "comm_bt": lambda a, b, t: commutator(b, t),
+    "a_minus_bstar_t": lambda a, b, t: a - b.conj().T @ t,
+    "b_minus_astar_t": lambda a, b, t: b - a.conj().T @ t,
+    "isometry_t": lambda a, b, t: t.conj().T @ t - np.eye(len(t)),
+    "coisometry_t": lambda a, b, t: t @ t.conj().T - np.eye(len(t)),
+}
 
 
 class Certificate(enum.Enum):
@@ -143,11 +180,7 @@ def is_commuting(
     triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, dict[str, float]]:
     """Pairwise commutativity of (A, B, T) within eq_tol * (1 + max norm)."""
-    res = {
-        "comm_ab": _nrm(commutator(triple.a, triple.b)),
-        "comm_at": _nrm(commutator(triple.a, triple.t)),
-        "comm_bt": _nrm(commutator(triple.b, triple.t)),
-    }
+    res = triple._norms(*_COMMUTATORS)
     bound = tol.eq_tol * triple.scale_norm()
     return all(v <= bound for v in res.values()), res
 
@@ -162,35 +195,15 @@ def check_e_isometry(
     equivalent formulation B = A*T with A contractive is evaluated as well
     and disagreement is reported rather than resolved.
     """
-    n = triple.dim
-    eye = np.eye(n)
-    commuting, comm_res = is_commuting(triple, tol)
+    commuting, _ = is_commuting(triple, tol)
     bound = tol.eq_tol * triple.scale_norm()
-    res = dict(comm_res)
-    res["a_minus_bstar_t"] = _nrm(triple.a - triple.b.conj().T @ triple.t)
-    res["b_minus_astar_t"] = _nrm(triple.b - triple.a.conj().T @ triple.t)
-    res["isometry_t"] = _nrm(triple.t.conj().T @ triple.t - eye)
-    res["coisometry_t"] = _nrm(triple.t @ triple.t.conj().T - eye)
-    norm_a = _nrm(triple.a)
-    norm_b = _nrm(triple.b)
-
-    t_isometry = res["isometry_t"] <= bound
-    t_unitary = t_isometry and res["coisometry_t"] <= bound
-    via_iii = (
-        commuting
-        and res["a_minus_bstar_t"] <= bound
-        and norm_b <= 1.0 + tol.eq_tol
-        and t_isometry
-    )
-    via_iv = (
-        commuting
-        and res["b_minus_astar_t"] <= bound
-        and norm_a <= 1.0 + tol.eq_tol
-        and t_isometry
-    )
+    res = triple._norms(*_COMMUTATORS, *_IDENTITIES)
+    base = commuting and res["isometry_t"] <= bound
+    via_iii = base and res["a_minus_bstar_t"] <= bound and triple._norm("norm_b") <= 1 + tol.eq_tol
+    via_iv = base and res["b_minus_astar_t"] <= bound and triple._norm("norm_a") <= 1 + tol.eq_tol
     return {
         "e_isometry": via_iii,
-        "e_unitary": via_iii and t_unitary,
+        "e_unitary": via_iii and res["coisometry_t"] <= bound,
         "forms_agree": via_iii == via_iv,
         "residuals": res,
     }
@@ -204,29 +217,11 @@ def check_pc(triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL) -> dict:
     the identities A*A = BB* and AA* = B*B are verified as a consistency
     check.
     """
-    n = triple.dim
-    eye = np.eye(n)
     bound = tol.eq_tol * triple.scale_norm()
-    res = {
-        "comm_at": _nrm(commutator(triple.a, triple.t)),
-        "comm_bt": _nrm(commutator(triple.b, triple.t)),
-        "a_minus_bstar_t": _nrm(triple.a - triple.b.conj().T @ triple.t),
-        "b_minus_astar_t": _nrm(triple.b - triple.a.conj().T @ triple.t),
-        "isometry_t": _nrm(triple.t.conj().T @ triple.t - eye),
-        "coisometry_t": _nrm(triple.t @ triple.t.conj().T - eye),
-    }
-    pc_iso_1 = (
-        res["isometry_t"] <= bound
-        and res["comm_at"] <= bound
-        and res["comm_bt"] <= bound
-        and res["a_minus_bstar_t"] <= bound
-    )
-    pc_iso_2 = (
-        res["isometry_t"] <= bound
-        and res["comm_at"] <= bound
-        and res["comm_bt"] <= bound
-        and res["b_minus_astar_t"] <= bound
-    )
+    res = triple._norms("comm_at", "comm_bt", *_IDENTITIES)
+    base = all(res[k] <= bound for k in ("isometry_t", "comm_at", "comm_bt"))
+    pc_iso_1 = base and res["a_minus_bstar_t"] <= bound
+    pc_iso_2 = base and res["b_minus_astar_t"] <= bound
     pc_unitary = pc_iso_1 and res["coisometry_t"] <= bound
     if pc_unitary:
         res["pc_identity_1"] = _nrm(
@@ -292,6 +287,8 @@ def certify_e_contraction(
 
     Passing everything yields PASSED_NECESSARY, never a certified yes.
     """
+    if mc_samples < 0:
+        raise PreconditionError(f"mc_samples must be nonnegative, got {mc_samples}")
     residuals: dict[str, float] = {}
     failed: list[str] = []
     n = triple.dim
@@ -302,7 +299,7 @@ def certify_e_contraction(
     if not commuting:
         failed.append("commutativity")
 
-    norms = {"norm_a": _nrm(triple.a), "norm_b": _nrm(triple.b), "norm_t": _nrm(triple.t)}
+    norms = triple._norms(*_NORMS)
     residuals.update(norms)
     if any(v > 1.0 + tol.eq_tol for v in norms.values()):
         failed.append("norm_bound")
@@ -457,21 +454,12 @@ def canonical_decomposition(
         compress(triple.a, h_cnu), compress(triple.b, h_cnu), compress(triple.t, h_cnu)
     )
 
-    residuals: dict[str, float] = {}
-    if h_u.dim:
-        tu = unitary_part.t
-        eye_u = np.eye(h_u.dim)
-        residuals["t_unitary_on_hu"] = max(
-            _nrm(tu.conj().T @ tu - eye_u), _nrm(tu @ tu.conj().T - eye_u)
-        )
-    else:
-        residuals["t_unitary_on_hu"] = 0.0
-    # Off-diagonal blocks measure failure of H_u to reduce each operator.
+    unitary = unitary_part._norms("isometry_t", "coisometry_t")
+    residuals = {"t_unitary_on_hu": max(unitary.values())}
+    # Off-diagonal blocks measure failure of H_u to reduce each operator
+    # (empty blocks, when either part is empty, count as 0).
     for name, m in (("a", triple.a), ("b", triple.b), ("t", triple.t)):
-        if h_u.dim and h_cnu.dim:
-            off1 = h_cnu.basis.conj().T @ m @ h_u.basis
-            off2 = h_u.basis.conj().T @ m @ h_cnu.basis
-            residuals[f"reduce_{name}"] = max(_nrm(off1), _nrm(off2))
-        else:
-            residuals[f"reduce_{name}"] = 0.0
+        off1 = h_cnu.basis.conj().T @ m @ h_u.basis
+        off2 = h_u.basis.conj().T @ m @ h_cnu.basis
+        residuals[f"reduce_{name}"] = max(_nrm(off1), _nrm(off2))
     return DecompositionResult(h_u, h_cnu, unitary_part, cnu_part, residuals)

@@ -144,7 +144,7 @@ def _fundamental_pair(
         raise NotCommutingError(
             "fundamental pair requires a commuting triple: " + str(comm_res)
         )
-    norm_t = _nrm(work.t)
+    norm_t = work._norm("norm_t")
     if norm_t > 1.0 + tol.eq_tol:
         raise NotAContractionError(f"||T|| = {norm_t:.6f} exceeds 1")
 
@@ -153,8 +153,8 @@ def _fundamental_pair(
         # Unitary T: the defect vanishes and the sandwich identities
         # degenerate to A = B*T, already certified by the caller's checks.
         res = {
-            "sandwich_1": _nrm(work.a - work.b.conj().T @ work.t),
-            "sandwich_2": _nrm(work.b - work.a.conj().T @ work.t),
+            "sandwich_1": work._norm("a_minus_bstar_t"),
+            "sandwich_2": work._norm("b_minus_astar_t"),
         }
         empty = np.zeros((0, 0), dtype=complex)
         if max(res.values()) > tol.eq_tol * scale:

@@ -84,6 +84,8 @@ def matrix_from_json(obj) -> np.ndarray:
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
         raise SchemaError("rows and cols must be nonnegative integers")
     data = obj["data"]
+    if not isinstance(data, list):
+        raise SchemaError("matrix data must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise SchemaError(f"expected {rows * cols} entries, found {len(data)}")
     flat = [_unpair(p) for p in data]
@@ -114,6 +116,12 @@ def triple_from_json(obj) -> OperatorTriple:
     )
 
 
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _residual_to_json(rt: ResidualTriple) -> dict:
     return {
         "r": matrix_to_json(rt.r),
@@ -130,14 +138,13 @@ def _residual_from_json(obj) -> ResidualTriple:
         raise SchemaError("residual object must have r, s, w, carrier")
     basis = matrix_from_json(obj["carrier"])
     ambient = obj.get("ambient_dim", basis.shape[0])
-    return ResidualTriple(
-        matrix_from_json(obj["r"]),
-        matrix_from_json(obj["s"]),
-        matrix_from_json(obj["w"]),
-        SubspaceBasis(int(ambient), basis),
-        bool(obj.get("strict", False)),
-        {},
-    )
+    r, s, w = (matrix_from_json(obj[k]) for k in "rsw")
+    size = basis.shape[1]
+    for name, m in (("r", r), ("s", s), ("w", w)):
+        if m.shape != (size, size):
+            raise SchemaError(f"residual {name} has shape {m.shape}, carrier has {size} columns")
+    strict = _flag(obj.get("strict", False), "strict")
+    return ResidualTriple(r, s, w, SubspaceBasis(int(ambient), basis), strict, {})
 
 
 def dataset_to_json(d: TetrablockDataSet) -> dict:
@@ -156,6 +163,8 @@ def dataset_from_json(obj) -> TetrablockDataSet:
     keys = {"theta_samples", "g1", "g2", "residual", "pure_flag"}
     if not isinstance(obj, dict) or not keys <= set(obj):
         raise SchemaError(f"dataset object must have {sorted(keys)}")
+    if not isinstance(obj["theta_samples"], list):
+        raise SchemaError("theta_samples must be a list")
     samples = []
     for item in obj["theta_samples"]:
         if not isinstance(item, dict) or not {"z", "matrix"} <= set(item):
@@ -166,7 +175,7 @@ def dataset_from_json(obj) -> TetrablockDataSet:
         matrix_from_json(obj["g1"]),
         matrix_from_json(obj["g2"]),
         _residual_from_json(obj["residual"]),
-        bool(obj["pure_flag"]),
+        _flag(obj["pure_flag"], "pure_flag"),
     )
 
 

@@ -47,7 +47,6 @@ from .matkernel import (
     SubspaceBasis,
     Tolerances,
     as_matrix,
-    commutator,
     psd_sqrt,
 )
 from .matkernel import _norm_or_zero as _nrm
@@ -234,21 +233,20 @@ def residual_triple(
 def _residual_part(
     triple: OperatorTriple, dec: DecompositionResult, tol: Tolerances
 ) -> ResidualTriple:
-    """The residual triple of one decomposition; its invariance residuals
-    are the decomposition's reduction residuals."""
+    """The residual triple of one decomposition: its residuals are the norm
+    table of the unitary part (R, S, W) and the decomposition's reduction
+    residuals."""
     basis = dec.h_u
-    rdim = basis.dim
-    if rdim == 0:
+    if basis.dim == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return ResidualTriple(empty, empty, empty, basis, True, {"q_rank": 0.0})
-    r, s, w = dec.unitary_part.a, dec.unitary_part.b, dec.unitary_part.t
-    eye = np.eye(rdim)
+    part = dec.unitary_part
     res = {
-        "w_isometry": _nrm(w.conj().T @ w - eye),
-        "w_coisometry": _nrm(w @ w.conj().T - eye),
-        "pc_rw": _nrm(commutator(r, w)),
-        "pc_sw": _nrm(commutator(s, w)),
-        "pc_r_eq_sstar_w": _nrm(r - s.conj().T @ w),
+        "w_isometry": part._norm("isometry_t"),
+        "w_coisometry": part._norm("coisometry_t"),
+        "pc_rw": part._norm("comm_at"),
+        "pc_sw": part._norm("comm_bt"),
+        "pc_r_eq_sstar_w": part._norm("a_minus_bstar_t"),
         "invariance_a": dec.residuals["reduce_a"],
         "invariance_b": dec.residuals["reduce_b"],
     }
@@ -258,11 +256,11 @@ def _residual_part(
             f"residual compression of T is not unitary: {res}"
         )
     strict = (
-        _nrm(commutator(r, s)) <= bound
-        and _nrm(r) <= 1.0 + tol.eq_tol
-        and _nrm(s) <= 1.0 + tol.eq_tol
+        part._norm("comm_ab") <= bound
+        and part._norm("norm_a") <= 1.0 + tol.eq_tol
+        and part._norm("norm_b") <= 1.0 + tol.eq_tol
     )
-    return ResidualTriple(r, s, w, basis, strict, res)
+    return ResidualTriple(part.a, part.b, part.t, basis, strict, res)
 
 
 def auto_order(
@@ -476,6 +474,8 @@ def extract_data_set(
     """
     if grid < 1:
         raise PreconditionError("grid must be positive")
+    if boundary is not None and boundary < 0:
+        raise PreconditionError(f"boundary must be nonnegative, got {boundary}")
     boundary = 2 * grid if boundary is None else boundary
     dec = canonical_decomposition(triple, tol)
     rt = _residual_part(triple, dec, tol)
@@ -784,6 +784,8 @@ def validate_special_data_set(
     z^k [Theta; D_Theta] e_i; its Householder QR gives the enlarged basis,
     whose leading (fourier_modes + 1) d_in columns are the graph basis.
     """
+    if fourier_modes < 0:
+        raise PreconditionError(f"fourier_modes must be nonnegative, got {fourier_modes}")
     special, special_res = is_special_pair(d.g1, d.g2, tol)
     pencil_ok, pencil_sup = pencil_contractive(d.g1, d.g2, tol)
     passes_i = special and pencil_ok

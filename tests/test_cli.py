@@ -32,6 +32,31 @@ def write_triple(path, trip):
     tio.dump_document("triple", tio.triple_to_json(trip), path)
 
 
+# Malformed data-set payloads: (path to the member, its bad value, message).
+MALFORMED = {
+    "samples-not-a-list": (("theta_samples",), 3, "theta_samples must be a list"),
+    "data-not-a-list": (("g1", "data"), 5, "matrix data must be a list"),
+    "pure-flag-a-string": (("pure_flag",), "no", "pure_flag must be true or false"),
+    "strict-a-string": (("residual", "strict"), "no", "strict must be true or false"),
+    "residual-size": (
+        ("residual", "r"),
+        tio.matrix_to_json(np.eye(1)),
+        r"residual r has shape \(1, 1\), carrier has 0 columns",
+    ),
+}
+
+
+def malformed(payload, name):
+    """A copy of a data-set payload with one member replaced by MALFORMED[name]."""
+    payload = json.loads(json.dumps(payload))
+    keys, value, _ = MALFORMED[name]
+    target = payload
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return payload
+
+
 class TestIO:
     def test_matrix_roundtrip_exact(self):
         rng = np.random.default_rng(1)
@@ -71,6 +96,12 @@ class TestIO:
     def test_wrong_entry_count(self):
         with pytest.raises(SchemaError):
             tio.matrix_from_json({"rows": 2, "cols": 2, "data": [[0.0, 0.0]]})
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_dataset_rejected(self, name):
+        ds = gen.gen_scalar_special_dataset(GenConfig(seed=2, dim=1), fourier_modes=8)
+        with pytest.raises(SchemaError, match=MALFORMED[name][2]):
+            tio.dataset_from_json(malformed(tio.dataset_to_json(ds), name))
 
 
     def test_roundtrip_detects_lossy_codec(self, workdir, monkeypatch):
@@ -253,6 +284,9 @@ def inputs(tmp_path_factory):
     tio.dump_document("dataset", tio.dataset_to_json(ds), d / "ds.json")
     special = gen.gen_scalar_special_dataset(GenConfig(seed=7, dim=1))
     tio.dump_document("dataset", tio.dataset_to_json(special), d / "special.json")
+    for name in MALFORMED:
+        payload = malformed(tio.dataset_to_json(ds), name)
+        tio.dump_document("dataset", payload, d / f"{name}.json")
     return d
 
 
@@ -323,6 +357,14 @@ class TestEveryCommand:
             (["classify", "ds.json"], "expected a triple document, got dataset"),
             (["classify", "pure.json", "--tol", "-1"], "eq_tol and psd_tol must be positive"),
             (["classify", "pure.json", "--tol", "0"], "eq_tol and psd_tol must be positive"),
+            (["coincide", "samples-not-a-list.json", "--other", "ds.json"], "must be a list"),
+            (["coincide", "ds.json", "--other", "data-not-a-list.json"], "must be a list"),
+            (["validate-special", "pure-flag-a-string.json"], "pure_flag must be true or false"),
+            (["validate-special", "strict-a-string.json"], "strict must be true or false"),
+            (["coincide", "residual-size.json", "--other", "ds.json"], "carrier has 0 columns"),
+            (["dataset", "pure.json", "--modes", "-1"], "boundary must be nonnegative, got -2"),
+            (["validate-special", "special.json", "--modes", "-1"], "fourier_modes must be"),
+            (["classify", "pure.json", "--mc-samples", "-1"], "mc_samples must be nonnegative"),
         ],
         ids=[
             "missing-file",
@@ -330,6 +372,14 @@ class TestEveryCommand:
             "dataset-to-classify",
             "negative-tol",
             "zero-tol",
+            "samples-not-a-list",
+            "data-not-a-list",
+            "pure-flag-a-string",
+            "strict-a-string",
+            "residual-size",
+            "negative-boundary",
+            "negative-modes",
+            "negative-mc-samples",
         ],
     )
     def test_input_errors_exit_3(self, inputs, workdir, capsys, args, message):

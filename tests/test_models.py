@@ -1216,3 +1216,29 @@ class TestKernelModel:
             _, trip = gen.gen_scalar_special_model(GenConfig(seed=seed, dim=1))
             frag = cl.certify_e_contraction(trip, mc_samples=8, seed=seed)
             assert frag["certificate"] is cl.Certificate.PASSED_NECESSARY
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda trip: md.extract_data_set(trip, grid=4, boundary=-1),
+            "boundary must be nonnegative, got -1",
+        ),
+        (
+            lambda trip: md.validate_special_data_set(
+                gen.gen_scalar_special_dataset(GenConfig(seed=7, dim=1)), -1
+            ),
+            "fourier_modes must be nonnegative, got -1",
+        ),
+        (
+            lambda trip: cl.certify_e_contraction(trip, mc_samples=-1),
+            "mc_samples must be nonnegative, got -1",
+        ),
+    ],
+    ids=["boundary", "fourier_modes", "mc_samples"],
+)
+def test_negative_counts_rejected(call, message):
+    trip = gen.gen_pure_e_contraction(GenConfig(seed=3, dim=2))
+    with pytest.raises(PreconditionError, match=message):
+        call(trip)
