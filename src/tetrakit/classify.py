@@ -289,6 +289,8 @@ def certify_e_contraction(
     """
     if mc_samples < 0:
         raise PreconditionError(f"mc_samples must be nonnegative, got {mc_samples}")
+    if boundary_samples < 1:
+        raise PreconditionError(f"boundary_samples must be at least 1, got {boundary_samples}")
     residuals: dict[str, float] = {}
     failed: list[str] = []
     n = triple.dim

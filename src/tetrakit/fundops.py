@@ -81,23 +81,24 @@ def defect(t_mat, adjoint: bool = False, tol: Tolerances = DEFAULT_TOL):
     """Defect operator D = (I - T*T)^{1/2} (or (I - TT*)^{1/2}) and its range.
 
     The carrier rank is decided on the eigenvalues of I - T*T at the
-    natural scale 1 + ||T||^2, so a numerically unitary T gets the empty
-    carrier instead of picking up rounding noise.  Raises
-    NotAContractionError when ||T|| exceeds 1 beyond tolerance.
+    natural scale 1 + ||T||^2, where 1 - ||T||^2 is the least of them, so a
+    numerically unitary T gets the empty carrier instead of picking up
+    rounding noise.  Raises NotAContractionError when ||T|| exceeds 1
+    beyond tolerance.
     """
     t = as_matrix(t_mat, square=True, name="T")
-    norm_t = _nrm(t)
-    if norm_t > 1.0 + tol.psd_tol * 10.0:
-        raise NotAContractionError(f"||T|| = {norm_t:.6f} exceeds 1")
     n = t.shape[0]
-    gram = t @ t.conj().T if adjoint else t.conj().T @ t
-    herm = np.eye(n) - 0.5 * (gram + gram.conj().T)
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return empty, SubspaceBasis(0, empty)
+    gram = t @ t.conj().T if adjoint else t.conj().T @ t
+    herm = np.eye(n) - 0.5 * (gram + gram.conj().T)
     w, v = np.linalg.eigh(herm)
+    norm_t = float(np.sqrt(max(1.0 - w[0], 0.0)))
+    if norm_t > 1.0 + tol.psd_tol * 10.0:
+        raise NotAContractionError(f"||T|| = {norm_t:.6f} exceeds 1")
     scale = 1.0 + norm_t**2
-    if w.size and w[0] < -tol.psd_tol * scale:
+    if w[0] < -tol.psd_tol * scale:
         raise NotPSDError(f"I - T*T has eigenvalue {w[0]:.3e}")
     keep = w > tol.psd_tol * scale
     w = np.where(keep, w, 0.0)
@@ -119,9 +120,8 @@ def fundamental_pair(
     sup over the circle of nu(X1 + z X2), its excess over 1 and the
     special-pair flag; the model builders take the pair alone.
     """
-    work = triple.adjoint() if adjoint else triple
-    d, carrier = defect(work.t, tol=tol)
-    x1, x2, residuals = _fundamental_pair(work, d, carrier, tol)
+    d, carrier = defect(triple.t, adjoint=adjoint, tol=tol)
+    x1, x2, residuals = _fundamental_pair(triple, adjoint, d, carrier, tol)
     if carrier.dim == 0:
         return FundamentalPair(carrier, x1, x2, 0.0, 0.0, True, residuals)
     nu_max, nu_upper = _circle_sup(0.0, [x1, x2])
@@ -136,46 +136,37 @@ def fundamental_pair(
 
 
 def _fundamental_pair(
-    work: OperatorTriple, d: np.ndarray, carrier: SubspaceBasis, tol: Tolerances
+    triple: OperatorTriple, adjoint: bool, d: np.ndarray, carrier: SubspaceBasis, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
-    """(X1, X2, sandwich residuals) of ``work`` with D_T and its carrier given."""
-    commuting, comm_res = is_commuting(work, tol)
+    """(X1, X2, sandwich residuals) of ``triple``, or of (A*, B*, T*) if
+    ``adjoint``, with its D_T and carrier given.  The adjoint has the same
+    commutator and operator norms, so both read the triple's norm table."""
+    commuting, comm_res = is_commuting(triple, tol)
     if not commuting:
         raise NotCommutingError(
             "fundamental pair requires a commuting triple: " + str(comm_res)
         )
-    norm_t = work._norm("norm_t")
+    norm_t = triple._norm("norm_t")
     if norm_t > 1.0 + tol.eq_tol:
         raise NotAContractionError(f"||T|| = {norm_t:.6f} exceeds 1")
-
-    scale = work.scale_norm()
-    if carrier.dim == 0:
-        # Unitary T: the defect vanishes and the sandwich identities
-        # degenerate to A = B*T, already certified by the caller's checks.
-        res = {
-            "sandwich_1": work._norm("a_minus_bstar_t"),
-            "sandwich_2": work._norm("b_minus_astar_t"),
-        }
-        empty = np.zeros((0, 0), dtype=complex)
-        if max(res.values()) > tol.eq_tol * scale:
-            raise InconsistentInputError(
-                f"empty defect but A != B*T: residuals {res}"
-            )
-        return empty, empty, res
+    a, b, t = triple.a, triple.b, triple.t
+    if adjoint:
+        a, b, t = (np.ascontiguousarray(m.conj().T) for m in (a, b, t))
 
     # Closed form on the carrier: with L = (D Q)^+ the sandwich identity
     # A - B*T = (D Q) X1 (D Q)* gives X1 = L (A - B*T) L*, and likewise X2.
+    # On the empty carrier of a unitary T it is the check A = B*T, B = A*T.
     dq = d @ carrier.basis
     lpinv = np.linalg.pinv(dq)
-    c1 = work.a - work.b.conj().T @ work.t
-    c2 = work.b - work.a.conj().T @ work.t
+    c1 = a - b.conj().T @ t
+    c2 = b - a.conj().T @ t
     x1 = lpinv @ c1 @ lpinv.conj().T
     x2 = lpinv @ c2 @ lpinv.conj().T
     residuals = {
         "sandwich_1": _nrm(c1 - dq @ x1 @ dq.conj().T),
         "sandwich_2": _nrm(c2 - dq @ x2 @ dq.conj().T),
     }
-    if max(residuals.values()) > tol.eq_tol * scale:
+    if max(residuals.values()) > tol.eq_tol * triple.scale_norm():
         raise InconsistentInputError(
             "sandwich identities inconsistent; input is not a tetrablock "
             f"contraction: residuals {residuals}"
@@ -191,8 +182,6 @@ def is_special_pair(
     b = as_matrix(g2, square=True, name="G2")
     if a.shape != b.shape:
         raise PreconditionError("G1, G2 must have equal size")
-    if a.shape[0] == 0:
-        return True, {"special_comm": 0.0, "special_balance": 0.0}
     scale = (1.0 + max(_nrm(a), _nrm(b))) ** 2
     res = {
         "special_comm": _nrm(commutator(a, b)),

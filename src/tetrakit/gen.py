@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import OperatorTriple
-from .errors import GenerationError
 from .matkernel import SubspaceBasis
 from .matkernel import _norm_or_zero as _nrm
 from .models import (
@@ -67,21 +66,16 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * phases[None, :]
 
 
-def _contraction_points(rng: np.random.Generator, count: int, t_cap: float = 1.0):
+def _contraction_points(rng: np.random.Generator, count: int):
     """Points (x11, x22, det X) of 2x2 strict contractions X.
 
-    Norm targets are drawn in [0.2, 0.94]; draws whose determinant exceeds
-    t_cap in modulus are rejected so downstream purity arguments apply.
+    Norm targets are drawn in [0.2, 0.94], so |det X| <= ||X||^2 < 0.89.
     """
     pts = []
-    while len(pts) < count:
+    for _ in range(count):
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        target = rng.uniform(0.2, 0.94)
-        x = g * (target / _nrm(g))
-        det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
-        if abs(det) > t_cap:
-            continue
-        pts.append((x[0, 0], x[1, 1], det))
+        x = g * (rng.uniform(0.2, 0.94) / _nrm(g))
+        pts.append((x[0, 0], x[1, 1], x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]))
     return pts
 
 
@@ -103,39 +97,32 @@ def gen_normal_e_contraction(cfg: GenConfig) -> OperatorTriple:
 def gen_pure_e_contraction(cfg: GenConfig) -> OperatorTriple:
     """Pure tetrablock contraction: spectral_radius(T) < 1.
 
-    Restricts a normal tetrablock contraction of twice the dimension (with
-    all |t| coordinates at most 0.9) to a seeded joint invariant subspace;
-    restriction to an invariant subspace preserves polynomial norms, and
-    the |t| cap makes purity automatic, with a rejection loop kept as a
-    guard.
+    Restricts a normal tetrablock contraction of twice the dimension to a
+    seeded joint invariant subspace; restriction to an invariant subspace
+    preserves polynomial norms.  Purity is automatic: the spectrum of the
+    cut T lies among the determinants of the drawn contractions, all of
+    modulus below 0.94^2.
     """
     rng = np.random.default_rng([cfg.seed, cfg.dim, 0x02])
     big = 2 * cfg.dim
-    for _ in range(100):
-        pts = _contraction_points(rng, big, t_cap=0.9)
-        pts.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
-        a = np.diag([p[0] for p in pts])
-        b = np.diag([p[1] for p in pts])
-        t = np.diag([p[2] for p in pts])
-        u = haar_unitary(rng, big)
-        # Leading columns of an upper-triangularized basis span a joint
-        # invariant subspace; for a diagonal family any coordinate subset
-        # works, so conjugate first and then cut.
-        triple = OperatorTriple(
-            u @ a @ u.conj().T, u @ b @ u.conj().T, u @ t @ u.conj().T
-        )
-        basis = u[:, : cfg.dim]
-        mix = haar_unitary(rng, cfg.dim)
-        basis = basis @ mix
-        cut = OperatorTriple(
-            basis.conj().T @ triple.a @ basis,
-            basis.conj().T @ triple.b @ basis,
-            basis.conj().T @ triple.t @ basis,
-        )
-        eig = np.abs(np.linalg.eigvals(cut.t))
-        if eig.size == 0 or np.max(eig) < 1.0:
-            return cut
-    raise GenerationError("exceeded resampling cap while enforcing purity")
+    pts = _contraction_points(rng, big)
+    pts.sort(key=lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag))
+    a = np.diag([p[0] for p in pts])
+    b = np.diag([p[1] for p in pts])
+    t = np.diag([p[2] for p in pts])
+    u = haar_unitary(rng, big)
+    # Leading columns of an upper-triangularized basis span a joint
+    # invariant subspace; for a diagonal family any coordinate subset
+    # works, so conjugate first and then cut.
+    triple = OperatorTriple(
+        u @ a @ u.conj().T, u @ b @ u.conj().T, u @ t @ u.conj().T
+    )
+    basis = u[:, : cfg.dim] @ haar_unitary(rng, cfg.dim)
+    return OperatorTriple(
+        basis.conj().T @ triple.a @ basis,
+        basis.conj().T @ triple.b @ basis,
+        basis.conj().T @ triple.t @ basis,
+    )
 
 
 def _scaled_polynomial(rng: np.random.Generator, w: np.ndarray, low: float, high: float):

@@ -170,10 +170,17 @@ def dataset_from_json(obj) -> TetrablockDataSet:
         if not isinstance(item, dict) or not {"z", "matrix"} <= set(item):
             raise SchemaError("theta sample must have z and matrix")
         samples.append((_unpair(item["z"]), matrix_from_json(item["matrix"])))
+    g1, g2 = matrix_from_json(obj["g1"]), matrix_from_json(obj["g2"])
+    # G1, G2 act on the output defect: square, of the Theta samples' rows.
+    size = samples[0][1].shape[0] if samples else g1.shape[0]
+    if not g1.shape == g2.shape == (size, size):
+        raise SchemaError(
+            f"g1 has shape {g1.shape} and g2 {g2.shape}; both must be {(size, size)}"
+        )
     return TetrablockDataSet(
         samples,
-        matrix_from_json(obj["g1"]),
-        matrix_from_json(obj["g2"]),
+        g1,
+        g2,
         _residual_from_json(obj["residual"]),
         _flag(obj["pure_flag"], "pure_flag"),
     )

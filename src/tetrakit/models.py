@@ -345,7 +345,7 @@ def build_lift(
     of T* once, for both the order search and the embedding.
     """
     d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
-    g1, g2, _ = _fundamental_pair(triple.adjoint(), d_op, d_carrier, tol)
+    g1, g2, _ = _fundamental_pair(triple, True, d_op, d_carrier, tol)
     rt = residual_triple(triple, tol)
     rows, tail, n_order, capped = _observability_rows(triple.t, d_op, d_carrier, n_order)
     warnings = [f"truncation order capped at {_MAX_ORDER}; tail target not met"] if capped else []
@@ -483,7 +483,7 @@ def extract_data_set(
     points = theta_sample_points(grid, boundary)
     carriers = _defect_carriers(work.t, tol)
     samples = list(zip(points, _theta_stack(work.t, points, carriers)))
-    g1, g2, _ = _fundamental_pair(work.adjoint(), *carriers[2:], tol)
+    g1, g2, _ = _fundamental_pair(work, True, *carriers[2:], tol)
     theta0 = samples[0][1]
     pure = theta0.shape[1] == 0 or _nrm(theta0) < 1.0 - tol.eq_tol
     return TetrablockDataSet(samples, g1, g2, rt, pure)

@@ -43,6 +43,13 @@ MALFORMED = {
         tio.matrix_to_json(np.eye(1)),
         r"residual r has shape \(1, 1\), carrier has 0 columns",
     ),
+    "g1-not-square": (("g1",), tio.matrix_to_json(np.zeros((1, 2))), r"g1 has shape \(1, 2\)"),
+    "g2-unequal": (("g2",), tio.matrix_to_json(np.eye(3)), r"and g2 \(3, 3\)"),
+    "g-beyond-samples": (
+        ("theta_samples",),
+        [{"z": [0.0, 0.0], "matrix": tio.matrix_to_json(np.zeros((3, 3)))}],
+        r"both must be \(3, 3\)",
+    ),
 }
 
 
@@ -103,6 +110,14 @@ class TestIO:
         with pytest.raises(SchemaError, match=MALFORMED[name][2]):
             tio.dataset_from_json(malformed(tio.dataset_to_json(ds), name))
 
+
+    def test_dataset_without_samples_accepted(self):
+        ds = gen.gen_scalar_special_dataset(GenConfig(seed=2, dim=1), fourier_modes=8)
+        payload = tio.dataset_to_json(ds)
+        payload["theta_samples"] = []
+        back = tio.dataset_from_json(payload)
+        assert back.defect_dims == (0, 1)
+        assert np.array_equal(back.g2, ds.g2)
 
     def test_roundtrip_detects_lossy_codec(self, workdir, monkeypatch):
         path = workdir / "trip.json"
@@ -365,6 +380,9 @@ class TestEveryCommand:
             (["dataset", "pure.json", "--modes", "-1"], "boundary must be nonnegative, got -2"),
             (["validate-special", "special.json", "--modes", "-1"], "fourier_modes must be"),
             (["classify", "pure.json", "--mc-samples", "-1"], "mc_samples must be nonnegative"),
+            (["coincide", "g1-not-square.json", "--other", "ds.json"], "g1 has shape (1, 2)"),
+            (["coincide", "ds.json", "--other", "g2-unequal.json"], "and g2 (3, 3)"),
+            (["validate-special", "g-beyond-samples.json"], "both must be (3, 3)"),
         ],
         ids=[
             "missing-file",
@@ -380,6 +398,9 @@ class TestEveryCommand:
             "negative-boundary",
             "negative-modes",
             "negative-mc-samples",
+            "g1-not-square",
+            "g2-unequal",
+            "g-beyond-samples",
         ],
     )
     def test_input_errors_exit_3(self, inputs, workdir, capsys, args, message):

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetrakit import classify as cl
 from tetrakit import fundops as fo
 from tetrakit import gen
-from tetrakit.errors import NotAContractionError, PreconditionError
+from tetrakit import models as md
+from tetrakit.errors import (
+    InconsistentInputError,
+    NotAContractionError,
+    NotPSDError,
+    PreconditionError,
+)
 from tetrakit.gen import GenConfig
 from tetrakit.matkernel import _circle_sup, numerical_radius, operator_norm
 
@@ -39,6 +48,20 @@ class TestDefect:
     def test_expansive_rejected(self):
         with pytest.raises(NotAContractionError):
             fo.defect(1.5 * np.eye(2))
+
+    def test_norm_read_off_the_eigenvalues(self, monkeypatch):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("defect took a separate norm")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        for adjoint in (False, True):
+            for scale in (1.5, 1.000000002):
+                with pytest.raises(NotAContractionError):
+                    fo.defect(scale * np.eye(2), adjoint=adjoint)
+            # Within the contraction slack, but I - T*T is not PSD.
+            with pytest.raises(NotPSDError):
+                fo.defect((1 + 5e-10) * np.eye(2), adjoint=adjoint)
+            assert fo.defect(0.5 * np.eye(2), adjoint=adjoint)[1].dim == 2
 
 
 def determining_residuals(trip, pair, adjoint=False):
@@ -179,6 +202,50 @@ class TestFundamentalPair:
     def test_empty_carrier_bracket(self):
         pair = fo.fundamental_pair(gen.gen_strict_e_unitary(GenConfig(seed=4, dim=3)))
         assert (pair.pencil_nu_max, pair.pencil_nu_upper) == (0.0, 0.0)
+
+    def test_unitary_t_with_a_not_bstar_t_is_inconsistent(self):
+        trip = cl.OperatorTriple(0.5 * np.eye(2), np.zeros((2, 2)), np.eye(2))
+        for adjoint in (False, True):
+            with pytest.raises(InconsistentInputError):
+                fo.fundamental_pair(trip, adjoint=adjoint)
+        with pytest.raises(InconsistentInputError):
+            md.build_lift(trip)
+
+
+def adjoint_kind_triple(kind, n, seed):
+    cfg = GenConfig(seed=seed, dim=n)
+    if kind == "pure":
+        return gen.gen_pure_e_contraction(cfg)
+    if kind == "normal":
+        return gen.gen_normal_e_contraction(cfg)
+    if kind == "unitary":
+        return gen.gen_strict_e_unitary(cfg)
+    pure = gen.gen_pure_e_contraction(cfg)
+    unit = gen.gen_strict_e_unitary(cfg)
+    mats = [scipy.linalg.block_diag(getattr(pure, k), getattr(unit, k)) for k in "abt"]
+    u = gen.haar_unitary(np.random.default_rng(seed), 2 * n)
+    return cl.OperatorTriple(*mats).conjugate_by(u)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("pure", "mixed", "normal", "unitary")),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+def test_adjoint_pair_equals_the_pair_of_the_adjoint_triple(kind, n, seed):
+    trip = adjoint_kind_triple(kind, n, seed)
+    got = fo.fundamental_pair(trip, adjoint=True)
+    want = fo.fundamental_pair(trip.adjoint())
+    for x, y in (
+        (got.x1, want.x1),
+        (got.x2, want.x2),
+        (got.carrier.basis, want.carrier.basis),
+    ):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert list(got.residuals.items()) == list(want.residuals.items())
+    if kind == "unitary":
+        assert got.carrier.dim == 0
 
 
 class TestPencilNumericalRadiusMax:

@@ -1235,8 +1235,19 @@ class TestKernelModel:
             lambda trip: cl.certify_e_contraction(trip, mc_samples=-1),
             "mc_samples must be nonnegative, got -1",
         ),
+        (
+            lambda trip: cl.certify_e_contraction(trip, boundary_samples=0),
+            "boundary_samples must be at least 1, got 0",
+        ),
+        (
+            # Rejected at entry, although condition (a) already fails here.
+            lambda trip: cl.certify_e_contraction(
+                gen.gen_non_example(GenConfig(seed=0, dim=2)), boundary_samples=-3
+            ),
+            "boundary_samples must be at least 1, got -3",
+        ),
     ],
-    ids=["boundary", "fourier_modes", "mc_samples"],
+    ids=["boundary", "fourier_modes", "mc_samples", "boundary_samples", "boundary_samples-early"],
 )
 def test_negative_counts_rejected(call, message):
     trip = gen.gen_pure_e_contraction(GenConfig(seed=3, dim=2))

@@ -156,6 +156,7 @@ def test_classify_then_fundamental_pair_forms_each_commutator_once(monkeypatch):
     monkeypatch.setattr(cl, "commutator", counting)
     cl.classify_triple(trip, mc_samples=2)
     fo.fundamental_pair(trip)
+    fo.fundamental_pair(trip, adjoint=True)
     want = [(trip.a, trip.b), (trip.a, trip.t), (trip.b, trip.t)]
     assert sorted((id(x), id(y)) for x, y in formed) == sorted((id(x), id(y)) for x, y in want)
 
