@@ -11,6 +11,7 @@ non-unitary part, decided from the spectrum of T by ``compute_Q``.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -254,6 +255,27 @@ _MOBIUS_POINTS = np.concatenate([
 _EXPONENTS = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
 
 
+def _poly_sups(points, coeffs) -> np.ndarray:
+    """Per coefficient row, the largest |p(a, b, t)| over the points (a, b, t)."""
+    pts = np.array(points, dtype=complex).reshape(-1, 3)
+    vandermonde = np.stack(
+        [pts[:, 0] ** i * pts[:, 1] ** j * pts[:, 2] ** k for i, j, k in _EXPONENTS], axis=1
+    )
+    return np.max(np.abs(vandermonde @ coeffs.T), axis=0, initial=0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _test_polynomials(count: int, seed: int, boundary_samples: int):
+    """Condition (e)'s coefficients, drawn as each polynomial's real then
+    imaginary parts in turn, and their sups over the sampled bE.  Neither
+    depends on the triple, so each setting is computed once."""
+    draws = np.random.default_rng(seed).standard_normal((count, 2, len(_EXPONENTS)))
+    coeffs = draws[:, 0] + 1j * draws[:, 1]
+    sups = _poly_sups(geometry._sample_bE_array(boundary_samples, seed + 1), coeffs)
+    coeffs.flags.writeable = sups.flags.writeable = False
+    return coeffs, sups
+
+
 def certify_e_contraction(
     triple: OperatorTriple,
     tol: Tolerances = DEFAULT_TOL,
@@ -342,19 +364,8 @@ def certify_e_contraction(
         residuals["joint_spectrum_excess"] = max(spectrum_margin, 0.0)
 
         if "norm_bound" not in failed and tuples:
-            # Same stream as drawing each polynomial's real then imaginary
-            # coefficients in turn.
-            draws = np.random.default_rng(seed).standard_normal((mc_samples, 2, len(_EXPONENTS)))
-            coeffs = draws[:, 0] + 1j * draws[:, 1]
-            pts = np.vstack([
-                geometry._sample_bE_array(boundary_samples, seed + 1),
-                np.array(in_closure, dtype=complex).reshape(-1, 3),
-            ])
-            vandermonde = np.stack(
-                [pts[:, 0] ** i * pts[:, 1] ** j * pts[:, 2] ** k for i, j, k in _EXPONENTS],
-                axis=1,
-            )
-            sups = np.max(np.abs(vandermonde @ coeffs.T), axis=0)
+            coeffs, boundary_sups = _test_polynomials(mc_samples, seed, boundary_samples)
+            sups = np.maximum(boundary_sups, _poly_sups(in_closure, coeffs))
             powers = [
                 [np.linalg.matrix_power(m, p) for p in range(4)]
                 for m in (triple.a, triple.b, triple.t)

@@ -45,9 +45,5 @@ class InternalConsistencyError(TetrakitError):
     """A guaranteed post-condition failed; indicates a bug or a lying input."""
 
 
-class GenerationError(TetrakitError):
-    """A randomized generator exhausted its resampling budget."""
-
-
 class SchemaError(TetrakitError):
     """A JSON document does not conform to the tetrakit I/O schema."""

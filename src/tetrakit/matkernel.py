@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -337,6 +336,7 @@ def joint_eigenvalues(
     rng = np.random.default_rng(_SCHUR_SEED)
     coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
     combo = sum(c * a for c, a in zip(coeffs, mats))
+    import scipy.linalg  # local: scipy loads on the first call, not at start-up
     tri, z = scipy.linalg.schur(combo, output="complex")
     # On a repeated eigenvalue of the combination its Schur basis need not
     # triangularise the members, but their trace over the eigenvalue's

@@ -284,6 +284,17 @@ class TestBatchedCertifier:
         assert res["mobius_form_max"] <= fine_max + 1e-12
         assert res["mobius_form_upper"] >= fine_max - 1e-12
 
+    def test_boundary_sups_drawn_once_per_setting(self, monkeypatch):
+        cl._test_polynomials.cache_clear()
+        calls = []
+        draw = geo._sample_bE_array
+        monkeypatch.setattr(geo, "_sample_bE_array", lambda *a: calls.append(a) or draw(*a))
+        for dim in (1, 2, 3):
+            trip = gen.gen_normal_e_contraction(GenConfig(seed=dim, dim=dim))
+            cert = cl.certify_e_contraction(trip, mc_samples=4, seed=5)["certificate"]
+            assert cert is cl.Certificate.PASSED_NECESSARY
+        assert calls == [(2048, 6)]
+
     def test_bracket_closes_on_strict_e_unitaries(self):
         # B = A*T makes M_r = 0, so the form is constant on each circle.
         for seed in range(20):

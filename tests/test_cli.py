@@ -410,33 +410,79 @@ class TestEveryCommand:
         assert not (workdir / "r.json").exists()
 
 
-_NUMPY_IMPORT_PROBE = """
+def run_fresh(script, cwd, **env_extra):
+    """Run script in a fresh interpreter that imports tetrakit from this tree."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = str(Path(tetrakit.__file__).resolve().parents[1])
+    env.update(env_extra)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=cwd, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+# Defines run(*argv), which requires exit 0 of cli.main, and writes the
+# inputs point.json, pure.json and special.json.
+_CLI_PRELUDE = """
+import json, sys
+from tetrakit import cli, io as tio
+from tetrakit.geometry import Point3
+
+def run(*argv, out="r.json"):
+    assert cli.main(list(argv) + ["--out", out]) == 0, argv
+
+tio.dump_document("point", tio.point_to_json(Point3(0, 0, 0)), "point.json")
+run("generate", "--class", "PureEContraction", "--seed", "3", out="pure.json")
+run("generate", "--class", "SpecialScalarDataSet", "--seed", "7", out="special.json")
+"""
+
+_SCIPY_USE_PROBE = _CLI_PRELUDE + """
+run("membership", "point.json")
+run("fundops", "pure.json")
+run("lift", "pure.json")
+run("verify", "pure.json")
+run("dataset", "pure.json", "--grid", "8", out="ds.json")
+run("coincide", "ds.json", "--other", "ds.json")
+run("validate-special", "special.json")
+before = "scipy" in sys.modules
+run("classify", "pure.json")
+print(json.dumps([before, "scipy" in sys.modules]))
+"""
+
+
+def test_only_classify_loads_scipy(tmp_path):
+    # scipy.linalg costs about 0.3 s of start-up; only the certifier's
+    # joint_eigenvalues needs it.
+    assert json.loads(run_fresh(_SCIPY_USE_PROBE, tmp_path)) == [False, True]
+
+
+# Records OPENBLAS_NUM_THREADS when the module is first looked up; scipy's
+# wheels bundle their own OpenBLAS, which reads it only when it loads.
+_IMPORT_PROBE = """
 import os, sys
 seen = []
 class Probe:
     def find_spec(self, name, path=None, target=None):
-        if name == "numpy" and not seen:
+        if name == {module!r} and not seen:
             seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.meta_path.insert(0, Probe())
 import tetrakit.cli
+{then}
 print(seen[0])
 """
 
 
 class TestThreadCap:
-    def test_cap_set_before_numpy_loads(self):
-        env = {
-            k: v
-            for k, v in os.environ.items()
-            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        }
-        env["TETRAKIT_THREADS"] = "1"
-        env["PYTHONPATH"] = str(Path(tetrakit.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", _NUMPY_IMPORT_PROBE],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "1"
+    def test_cap_set_before_numpy_loads(self, tmp_path):
+        script = _IMPORT_PROBE.format(module="numpy", then="")
+        assert run_fresh(script, tmp_path, TETRAKIT_THREADS="1") == "1"
+
+    def test_cap_set_before_scipy_loads(self, tmp_path):
+        then = _CLI_PRELUDE + 'run("classify", "pure.json")'
+        script = _IMPORT_PROBE.format(module="scipy.linalg", then=then)
+        assert run_fresh(script, tmp_path, TETRAKIT_THREADS="1") == "1"

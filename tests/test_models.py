@@ -174,6 +174,30 @@ class TestNearUnitaryFamily:
         assert md.build_lift(trip).residual.dim == unitary_dim
 
 
+def tail_of_order(t, k):
+    """||D_{T*} T*^(k+1)||, the tail of truncation order k, by matrix powers."""
+    d_op, _ = fo.defect(t, adjoint=True)
+    return _nrm(d_op @ np.linalg.matrix_power(t.conj().T, k + 1))
+
+
+class TestAutoOrder:
+    @pytest.mark.parametrize("seed, dim", [(0, 1), (3, 2), (5, 3), (8, 5)])
+    def test_pure_order_is_the_first_to_meet_the_target(self, seed, dim):
+        trip = gen.gen_pure_e_contraction(GenConfig(seed=seed, dim=dim))
+        model = md.build_lift(trip)
+        order, capped = md.auto_order(trip.t)
+        assert (order, capped) == (model.order_n, bool(model.warnings))
+        assert not capped
+        tails = [tail_of_order(trip.t, k) for k in range(order + 1)]
+        assert tails[-1] <= md._ORDER_TAIL_TARGET < min(tails[:-1], default=math.inf)
+
+    def test_near_unitary_input_is_capped(self):
+        zero = np.zeros((2, 2))
+        trip = cl.OperatorTriple(zero, zero, np.diag([1.0 - 1e-3, 0.5]))
+        model = md.build_lift(trip)
+        assert md.auto_order(trip.t) == (512, True) == (model.order_n, bool(model.warnings))
+
+
 def count_calls(monkeypatch, original):
     """Record the arguments of every call to ``original`` through every
     binding in the package."""
