@@ -137,17 +137,23 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     """Bracket (lower, upper) of the sup over theta in T^k, k in {1, 2}, of
     f(theta) = lambda_max(fixed + sum_j Re(e^{i theta_j} M_j)), Re(X) = (X + X*)/2.
 
-    Cells centred on a grid of N points per phase (N = 16 at first) cover
-    the torus.  lower is attained: the best grid value, raised by eigenvector
-    ascent (theta_j = -arg x* M_j x, x the top eigenvector) from the best 4
-    first-grid points and from any later grid point that beats it.  f is
-    convex in p = e^{i theta}, and a cell's arc lies in the triangle of a
-    vertex of the circumscribed N-gon and its edge midpoints, so means of
-    vertex values bound f on the cell (with fixed = 0 a vertex value is
-    sec(pi/N) times a grid value).  Cells whose bound exceeds lower by more
-    than a relative 1e-6, or exceeds ``bound`` while lower does not, are
-    split on the 2N grid until none is left, a level would hold over 4096
-    cells, or 24 levels are done; only those limits leave a wider bracket.
+    For 1x1 matrices f = fixed + sum_j Re(e^{i theta_j} m_j) peaks at
+    theta_j = -arg m_j, so the sup is fixed + sum_j |m_j|; the upper end is
+    the next float above it.  Otherwise cells centred on a grid of N points
+    per phase (N = 16 at first) cover the torus.  lower is attained: the
+    best grid value, raised by eigenvector ascent (theta_j = -arg x* M_j x,
+    x the top eigenvector) from the best 4 first-grid points and from any
+    later grid point that beats it; a start is retired once a step gains at
+    most 1e-15 max(1, value).  With fixed = 0 the pencil at -p is the
+    negated pencil at p, so one eigvalsh of half the first grid gives the
+    whole grid.  f is convex in p = e^{i theta}, and a cell's arc lies in
+    the triangle of a vertex of the circumscribed N-gon and its edge
+    midpoints, so means of vertex values bound f on the cell (with
+    fixed = 0 a vertex value is sec(pi/N) times a grid value).  Cells whose
+    bound exceeds lower by more than a relative 1e-6, or exceeds ``bound``
+    while lower does not, are split on the 2N grid until none is left, a
+    level would hold over 4096 cells, or 24 levels are done; only those
+    limits leave a wider bracket.
     """
     # A phase with a zero matrix leaves f unchanged; splitting along it
     # would only multiply the cells.
@@ -155,29 +161,39 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     k, n = mats.shape[0], mats.shape[-1]
     if n == 0:
         return 0.0, 0.0
+    if n == 1:
+        # Scalar abs: numpy's vectorised complex abs can be off by over an ulp.
+        top = float(np.asarray(fixed).real.item()) + sum(abs(complex(m)) for m in mats.ravel())
+        return top, float(np.nextafter(top, math.inf))
+    homogeneous = not np.any(fixed)
+    flat = mats.reshape(k, n * n)
 
     def pencils(p):
         """fixed + Re(sum_j p_j M_j) for every row p of a (P, k) array."""
-        s = np.tensordot(p, mats, axes=1)
+        s = (p @ flat).reshape(-1, n, n)
         return fixed + 0.5 * (s + s.conj().transpose(0, 2, 1))
 
-    def tops(p):
-        """Top eigenvalue of each pencil, 512 pencils at a time."""
+    def spectra(p):
+        """Eigenvalues of each pencil, 512 pencils at a time."""
         chunks = (pencils(p[i:i + 512]) for i in range(0, len(p), 512))
-        return np.concatenate([np.linalg.eigvalsh(c)[:, -1] for c in chunks])
+        return np.concatenate([np.linalg.eigvalsh(c) for c in chunks])
 
     def ascend(p):
         """Best value of the eigenvector ascent from the phase rows of p."""
         w, v = np.linalg.eigh(pencils(p))
         value, x = w[:, -1], v[..., -1]
+        retired = -math.inf
         for _ in range(_ASCENT_CAP):
             q = np.einsum("si,kij,sj->sk", x.conj(), mats, x)
             w, v = np.linalg.eigh(pencils(np.exp(-1j * np.angle(q))))
             gain = w[:, -1] - value
             value, x = np.maximum(value, w[:, -1]), v[..., -1]
-            if np.all(gain <= 1e-15 * np.maximum(1.0, value)):
+            done = gain <= 1e-15 * np.maximum(1.0, value)
+            retired = max(retired, float(np.max(value[done], initial=-math.inf)))
+            value, x = value[~done], x[~done]
+            if not len(value):
                 break
-        return float(np.max(value))
+        return max(retired, float(np.max(value, initial=-math.inf)))
 
     # Grid points are integer tuples on the finest grid, so a point keeps
     # its key, and its value, from one level to the next.
@@ -199,15 +215,25 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
         old_keys, old_values = keys, values
         keys, points, where = distinct(cells[:, None] + spacing * steps)
         phases = np.exp(2j * np.pi * points / fine)
-        seen = np.isin(keys, old_keys)
-        values = np.empty(len(keys))
-        values[seen] = old_values[np.searchsorted(old_keys, keys[seen])]
-        values[~seen] = tops(phases[~seen])
+        if level == 0 and homogeneous:
+            # The first level is the whole grid, closed under p -> -p.
+            half = np.flatnonzero(points[:, 0] < fine // 2)
+            w = spectra(phases[half])
+            values = np.empty(len(keys))
+            values[half] = w[:, -1]
+            values[np.searchsorted(keys, ((points[half] + fine // 2) % fine) @ radix)] = -w[:, 0]
+        elif level == 0:
+            values = spectra(phases)[:, -1]
+        else:
+            at = np.minimum(np.searchsorted(old_keys, keys), len(old_keys) - 1)
+            values = old_values[at]
+            new = old_keys[at] != keys
+            values[new] = spectra(phases[new])[:, -1]
         if values.max() > lower:
             best = np.argsort(values)[-(_ASCENT_STARTS if level == 0 else 1):]
             lower = max(lower, ascend(phases[best]))
         sec = 1.0 / math.cos(math.pi * spacing / fine)
-        vertex = sec * values if not np.any(fixed) else tops(sec * phases)
+        vertex = sec * values if homogeneous else spectra(sec * phases)[:, -1]
         cell_ub = vertex[where].reshape((-1,) + (3,) * k)
         for axis in range(1, k + 1):
             cell_ub = 0.5 * (cell_ub + np.take(cell_ub, [1], axis=axis))

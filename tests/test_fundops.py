@@ -318,6 +318,17 @@ class TestPencilContractive:
         ok, sup = fo.pencil_contractive([[0.3]], [[0.4]])
         assert ok and sup == pytest.approx(0.7)
 
+    def test_scalar_closed_form(self):
+        # sup over |z| = 1 of |conj(g1) + z g2| is |g1| + |g2|, reached by the
+        # ascent on the 2x2 dilation, whose fixed part is not zero.
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            g1, g2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            ok, sup = fo.pencil_contractive([[g1]], [[g2]])
+            exact = abs(g1) + abs(g2)
+            assert sup == pytest.approx(exact, abs=1e-14)
+            assert ok == (sup <= 1.0 + 1e-9)
+
     def test_too_large(self):
         ok, sup = fo.pencil_contractive(0.8 * np.eye(2), 0.8 * np.eye(2))
         assert not ok and sup == pytest.approx(1.6)

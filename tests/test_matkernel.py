@@ -80,6 +80,10 @@ class TestNumericalRadius:
         m = np.array([[0, c], [0, 0]], dtype=complex)
         assert mk.numerical_radius(m) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("z", [0.0, 1.0, -2.5, 0.3j, 3 - 4j, 0.1 + 0.7j, 1e-300 - 1e-300j])
+    def test_scalar(self, z):
+        assert mk.numerical_radius([[z]]) == abs(z)
+
     def test_against_dense_grid_oracle(self):
         rng = np.random.default_rng(21)
         thetas = 2 * np.pi * np.arange(4096) / 4096
@@ -164,6 +168,39 @@ class TestCircleSup:
             exact = abs(x1[0, 0]) + abs(x2[0, 0])
             assert lower == pytest.approx(exact, abs=1e-14 * (1 + exact))
             assert upper >= exact
+
+    def test_one_by_one_closed_form(self):
+        # One phase, 1x1: f(theta) = fixed + Re(e^{i theta} m) peaks at
+        # fixed + |m|, with fixed = 0 and with a Hermitian (real) fixed part.
+        rng = np.random.default_rng(66)
+        for trial in range(40):
+            m = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-3, 3)
+            c = float(rng.standard_normal()) if trial % 2 else 0.0
+            lower, upper = mk._circle_sup(np.array([[c]], dtype=complex), [np.array([[m]])])
+            exact = c + abs(m)
+            assert lower <= exact <= upper
+            assert upper == np.nextafter(lower, np.inf)
+        assert mk._circle_sup(0.0, [np.array([[3 - 4j]])]) == (5.0, np.nextafter(5.0, 6.0))
+
+    def test_pencil_counts(self, monkeypatch):
+        # With fixed = 0 the pencil at -p is the negated pencil at p, so the
+        # first 16 x 16 grid takes one eigvalsh of 128 pencils, not 256; the
+        # 1x1 closed form factors nothing.
+        batches = []
+        for name in ("eigvalsh", "eigh"):
+            def counted(a, _f=getattr(np.linalg, name), _name=name):
+                batches.append((_name, len(a)))
+                return _f(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+        mk._circle_sup(0.0, random_mats(67, 3, 2))
+        assert batches[0] == ("eigvalsh", 128)
+        batches.clear()
+        mk._circle_sup(0.0, random_mats(68, 3, 1))
+        assert batches[0] == ("eigvalsh", 8)
+        batches.clear()
+        mk._circle_sup(0.0, random_mats(69, 1, 2))
+        mk._circle_sup(np.eye(1), random_mats(70, 1, 1))
+        assert batches == []
 
     def test_bracket_width(self):
         # Refinement stops once no cell's bound exceeds lower by more than a
@@ -425,3 +462,14 @@ class TestTolerances:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             mk.Tolerances(**kwargs)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 2), st.floats(1e-3, 1e3), st.integers(0, 2**16))
+    def test_negation_invariant(self, n, k, scale, seed):
+        # theta -> theta + pi maps the sup for -M_j to the sup for M_j; the
+        # first grid is closed under that shift, so both ends agree.
+        mats = random_mats(seed, n, k, scale)
+        lower, upper = mk._circle_sup(0.0, mats)
+        neg = mk._circle_sup(0.0, [-m for m in mats])
+        assert neg[0] == pytest.approx(lower, rel=1e-12)
+        assert neg[1] == pytest.approx(upper, rel=1e-12)
