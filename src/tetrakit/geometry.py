@@ -114,15 +114,12 @@ def min_completion_norm(p: Point3) -> float:
     """Minimal operator norm of a 2x2 matrix with diagonal (a, b), det t.
 
     Any completion has the form [[a, q], [r, b]] with q*r = a*b - t, and
-    the norm-minimizing choice is |q| = |r| = sqrt|a*b - t|.  For a fixed
-    determinant the 2x2 operator norm is a monotone function of the
-    Frobenius norm, giving the closed form below.  The point lies in the
-    closed (open) tetrablock iff this value is <= 1 (< 1).
+    the norm-minimizing choice is |q| = |r| = sqrt|a*b - t|: this is the
+    SVD norm of completion_witness(p), exact where its singular values meet
+    (on bE).  The point lies in the closed (open) tetrablock iff this value
+    is <= 1 (< 1).
     """
-    d = abs(p.a * p.b - p.t)
-    fro2 = abs(p.a) ** 2 + abs(p.b) ** 2 + 2.0 * d
-    disc = max(fro2 * fro2 - 4.0 * abs(p.t) ** 2, 0.0)
-    return math.sqrt(0.5 * (fro2 + math.sqrt(disc)))
+    return float(np.linalg.norm(completion_witness(p), 2))
 
 
 def completion_witness(p: Point3) -> np.ndarray:
@@ -171,10 +168,8 @@ def in_tetrablock(p: Point3, tol: Tolerances = DEFAULT_TOL) -> MembershipVerdict
     in_open = open_ab and open_ba and not marginal
     in_closure = closed_ab and closed_ba
     witness = None
-    if in_closure:
-        cand = completion_witness(p)
-        if float(np.linalg.norm(cand, 2)) <= 1.0 + tol.eq_tol:
-            witness = cand
+    if in_closure and min_completion_norm(p) <= 1.0 + tol.eq_tol:
+        witness = completion_witness(p)
     bE = _bE_check(p, tol)
     return MembershipVerdict(
         in_open=in_open,

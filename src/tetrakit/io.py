@@ -53,11 +53,18 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _count(value, name: str) -> int:
+    # type(), not isinstance: JSON true/false parse as bool, a subclass of int.
+    if type(value) is not int or value < 0:
+        raise SchemaError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def _unpair(obj) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(x, (int, float)) for x in obj)
+        or not all(type(x) in (int, float) for x in obj)
     ):
         raise SchemaError(f"expected [re, im] pair, got {obj!r}")
     z = complex(obj[0], obj[1])
@@ -80,9 +87,7 @@ def matrix_to_json(m) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or not {"rows", "cols", "data"} <= set(obj):
         raise SchemaError("matrix object must have rows, cols, data")
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
-        raise SchemaError("rows and cols must be nonnegative integers")
+    rows, cols = _count(obj["rows"], "rows"), _count(obj["cols"], "cols")
     data = obj["data"]
     if not isinstance(data, list):
         raise SchemaError("matrix data must be a list of [re, im] pairs")
@@ -137,14 +142,14 @@ def _residual_from_json(obj) -> ResidualTriple:
     if not isinstance(obj, dict) or not {"r", "s", "w", "carrier"} <= set(obj):
         raise SchemaError("residual object must have r, s, w, carrier")
     basis = matrix_from_json(obj["carrier"])
-    ambient = obj.get("ambient_dim", basis.shape[0])
+    ambient = _count(obj.get("ambient_dim", basis.shape[0]), "ambient_dim")
     r, s, w = (matrix_from_json(obj[k]) for k in "rsw")
     size = basis.shape[1]
     for name, m in (("r", r), ("s", s), ("w", w)):
         if m.shape != (size, size):
             raise SchemaError(f"residual {name} has shape {m.shape}, carrier has {size} columns")
     strict = _flag(obj.get("strict", False), "strict")
-    return ResidualTriple(r, s, w, SubspaceBasis(int(ambient), basis), strict, {})
+    return ResidualTriple(r, s, w, SubspaceBasis(ambient, basis), strict, {})
 
 
 def dataset_to_json(d: TetrablockDataSet) -> dict:

@@ -50,6 +50,21 @@ MALFORMED = {
         [{"z": [0.0, 0.0], "matrix": tio.matrix_to_json(np.zeros((3, 3)))}],
         r"both must be \(3, 3\)",
     ),
+    # JSON true/false are not numbers, though Python's bool is an int.
+    "rows-a-bool": (("g1", "rows"), True, "rows must be a nonnegative integer, got True"),
+    "cols-a-bool": (("g2", "cols"), True, "cols must be a nonnegative integer, got True"),
+    "entry-a-bool-pair": (("g1", "data", 0), [True, False], r"got \[True, False\]"),
+    "z-a-bool-pair": (("theta_samples", 0, "z"), [False, False], r"got \[False, False\]"),
+    "ambient-dim-a-bool": (
+        ("residual", "ambient_dim"),
+        True,
+        "ambient_dim must be a nonnegative integer, got True",
+    ),
+    "ambient-dim-a-string": (
+        ("residual", "ambient_dim"),
+        "1",
+        "ambient_dim must be a nonnegative integer, got '1'",
+    ),
 }
 
 
@@ -194,6 +209,41 @@ class TestCliExitCodes:
 
     def test_missing_file_exits_3(self, workdir):
         assert cli.main(["classify", str(workdir / "nope.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "command, kind, member, value, message",
+        [
+            ("membership", "point", (0,), [True, False], "expected [re, im] pair"),
+            ("classify", "triple", ("a", "rows"), True, "rows must be a nonnegative integer"),
+            (
+                "validate-special",
+                "dataset",
+                ("residual", "carrier", "rows"),
+                False,
+                "rows must be a nonnegative integer",
+            ),
+        ],
+        ids=["point", "triple", "dataset"],
+    )
+    def test_json_boolean_exits_3(self, workdir, capsys, command, kind, member, value, message):
+        # Each document kind, with one number replaced by a JSON boolean.
+        payload = {
+            "point": tio.point_to_json(Point3(0, 0, 0)),
+            "triple": tio.triple_to_json(gen.gen_normal_e_contraction(GenConfig(seed=1, dim=1))),
+            "dataset": tio.dataset_to_json(
+                gen.gen_scalar_special_dataset(GenConfig(seed=2, dim=1), fourier_modes=8)
+            ),
+        }[kind]
+        target = payload
+        for key in member[:-1]:
+            target = target[key]
+        target[member[-1]] = value
+        path = workdir / "doc.json"
+        tio.dump_document(kind, payload, path)
+        out = workdir / "r.json"
+        assert cli.main([command, str(path), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_exits_3(self, workdir):
         doc = {

@@ -319,8 +319,8 @@ class TestPencilContractive:
         assert ok and sup == pytest.approx(0.7)
 
     def test_scalar_closed_form(self):
-        # sup over |z| = 1 of |conj(g1) + z g2| is |g1| + |g2|, reached by the
-        # ascent on the 2x2 dilation, whose fixed part is not zero.
+        # sup over |z| = 1 of |conj(g1) + z g2| is |g1| + |g2|: the square
+        # root of the engine's 1x1 closed form on the Gram pencil.
         rng = np.random.default_rng(14)
         for _ in range(20):
             g1, g2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -357,6 +357,81 @@ class TestPencilContractive:
         ok, sup = fo.pencil_contractive(g1, g2)
         assert not ok
         assert sup == pytest.approx(1.001, abs=1e-12)
+
+    def test_scalar_runs_no_eigensolver(self, monkeypatch):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            def counted(a, _f=getattr(np.linalg, name), _name=name):
+                calls.append(_name)
+                return _f(a)
+            monkeypatch.setattr(np.linalg, name, counted)
+        ok, sup = fo.pencil_contractive([[0.3 - 0.1j]], [[0.2j]])
+        assert ok and sup == pytest.approx(abs(0.3 - 0.1j) + 0.2, abs=1e-15)
+        assert calls == []
+
+    def test_engine_gets_the_n_by_n_gram_pencil(self, monkeypatch):
+        shapes = []
+
+        def recording(fixed, mats, bound):
+            shapes.append((np.shape(fixed), [np.shape(m) for m in mats], bound))
+            return _circle_sup(fixed, mats, bound)
+
+        monkeypatch.setattr(fo, "_circle_sup", recording)
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 5):
+            g1, g2 = (0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                      for _ in range(2))
+            fo.pencil_contractive(g1, g2)
+            assert shapes.pop() == ((n, n), [(n, n)], (1.0 + 1e-9) ** 2)
+
+
+def dilation_bracket(g1, g2):
+    """The pencil norm's bracket on the 2n x 2n Hermitian dilation
+    [[0, G1* + z G2], [G1 + conj(z) G2*, 0]]: an independent reference."""
+    n = len(g1)
+    dilation = np.zeros((2 * n, 2 * n), dtype=complex)
+    dilation[:n, n:] = g1.conj().T
+    dilation[n:, :n] = g1
+    shift = np.zeros_like(dilation)
+    shift[:n, n:] = 2.0 * g2
+    return _circle_sup(dilation, [shift], bound=1.0 + 1e-9)
+
+
+def structured_matrix(rng, n, kind):
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "nilpotent":
+        u = gen.haar_unitary(rng, n)
+        return u @ np.triu(m, 1) @ u.conj().T
+    if kind == "low-rank":
+        r = max(n // 2, 1)
+        return m[:, :r] @ m[:r, :]
+    return m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 6),
+    st.sampled_from(("full", "nilpotent", "low-rank")),
+    st.sampled_from(("full", "nilpotent", "low-rank")),
+    st.floats(0.2, 1.2),
+    st.integers(0, 2**16),
+)
+def test_gram_pencil_matches_dilation_and_dense_oracle(n, kind1, kind2, size, seed):
+    rng = np.random.default_rng(seed)
+    g1, g2 = structured_matrix(rng, n, kind1), structured_matrix(rng, n, kind2)
+    total = operator_norm(g1) + operator_norm(g2)
+    if total > 0:
+        g1, g2 = size * g1 / total, size * g2 / total
+    ok, sup = fo.pencil_contractive(g1, g2)
+    assert ok == (sup <= 1.0 + 1e-9)
+    # Both are attained values, so either may be the nearer; the dilation's
+    # ascent can stop ~1e-10 short on a rank-one G, never above its upper end.
+    lower, upper = dilation_bracket(g1, g2)
+    assert lower * (1.0 - 1e-12) <= sup <= upper * (1.0 + 1e-12)
+    zs = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    pencils = g1.conj().T + zs[:, None, None] * g2
+    oracle = float(np.linalg.svd(pencils, compute_uv=False)[:, 0].max())
+    assert sup >= oracle - 1e-12
 
 
 class TestQuadraticDouglas:

@@ -147,6 +147,14 @@ class TestInTetrablock:
             assert verdict.in_open == (norm < 1.0)
             assert verdict.in_closure == (norm <= 1.0)
 
+    def test_min_completion_norm_on_distinguished_boundary(self):
+        # On bE the two singular values of the completion meet at 1, where a
+        # closed form in a, b, t loses about half the digits; the witness's
+        # SVD norm does not, and in_tetrablock attaches every such witness.
+        for p in geo.sample_bE(2000, seed=4):
+            assert abs(geo.min_completion_norm(p) - 1.0) <= 1e-12
+            assert geo.in_tetrablock(p).witness is not None
+
 
 class TestDistinguishedBoundary:
     def test_real_rotation_point(self):
