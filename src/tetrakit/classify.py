@@ -105,6 +105,14 @@ class OperatorTriple:
         """A new dict of the named entries of the norm table."""
         return {k: self._norm(k) for k in keys}
 
+    def _holds(self, keys, tol: Tolerances) -> bool:
+        """Whether every named entry of the norm table is within its bound:
+        a norm of A, B or T at most 1 + eq_tol, any other residual at most
+        eq_tol * scale_norm().  This is the one bound rule of every class
+        test."""
+        bound = tol.eq_tol * self.scale_norm()
+        return all(self._norm(k) <= (1.0 + tol.eq_tol if k in _NORMS else bound) for k in keys)
+
 
 # The tol-free norms of a triple, keyed by their residual names: the norms
 # of A, B, T, the commutators, and the identities A = B*T, B = A*T, T*T = I
@@ -124,6 +132,21 @@ _FORMULAS = {
     "isometry_t": lambda a, b, t: t.conj().T @ t - np.eye(len(t)),
     "coisometry_t": lambda a, b, t: t @ t.conj().T - np.eye(len(t)),
 }
+
+# Each class as the norm-table entries that _holds bounds.  A class that
+# implies another lists a superset of its entries, so e_unitary =>
+# e_isometry => pc_isometry and e_unitary => pc_unitary hold by
+# construction.  _OTHER_FORM turns a class into its equivalent form with
+# B = A*T and ||A|| <= 1 in place of A = B*T and ||B|| <= 1.
+_PC_ISOMETRY = ("isometry_t", "comm_at", "comm_bt", "a_minus_bstar_t")
+_PC_UNITARY = _PC_ISOMETRY + ("coisometry_t",)
+_E_ISOMETRY = _PC_ISOMETRY + ("comm_ab", "norm_b")
+_E_UNITARY = _E_ISOMETRY + ("coisometry_t",)
+_OTHER_FORM = {"a_minus_bstar_t": "b_minus_astar_t", "norm_b": "norm_a"}
+
+
+def _other_form(keys: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(_OTHER_FORM.get(k, k) for k in keys)
 
 
 class Certificate(enum.Enum):
@@ -149,11 +172,6 @@ class ClassificationReport:
     contraction_certificate: Certificate
     residuals: dict[str, float]
     failed_checks: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        assert not self.e_unitary or self.e_isometry
-        assert not self.e_isometry or self.pc_isometry
-        assert not self.e_unitary or self.pc_unitary
 
 
 @dataclass
@@ -181,9 +199,7 @@ def is_commuting(
     triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[bool, dict[str, float]]:
     """Pairwise commutativity of (A, B, T) within eq_tol * (1 + max norm)."""
-    res = triple._norms(*_COMMUTATORS)
-    bound = tol.eq_tol * triple.scale_norm()
-    return all(v <= bound for v in res.values()), res
+    return triple._holds(_COMMUTATORS, tol), triple._norms(*_COMMUTATORS)
 
 
 def check_e_isometry(
@@ -196,47 +212,31 @@ def check_e_isometry(
     equivalent formulation B = A*T with A contractive is evaluated as well
     and disagreement is reported rather than resolved.
     """
-    commuting, _ = is_commuting(triple, tol)
-    bound = tol.eq_tol * triple.scale_norm()
-    res = triple._norms(*_COMMUTATORS, *_IDENTITIES)
-    base = commuting and res["isometry_t"] <= bound
-    via_iii = base and res["a_minus_bstar_t"] <= bound and triple._norm("norm_b") <= 1 + tol.eq_tol
-    via_iv = base and res["b_minus_astar_t"] <= bound and triple._norm("norm_a") <= 1 + tol.eq_tol
+    e_isometry = triple._holds(_E_ISOMETRY, tol)
     return {
-        "e_isometry": via_iii,
-        "e_unitary": via_iii and res["coisometry_t"] <= bound,
-        "forms_agree": via_iii == via_iv,
-        "residuals": res,
+        "e_isometry": e_isometry,
+        "e_unitary": triple._holds(_E_UNITARY, tol),
+        "forms_agree": e_isometry == triple._holds(_other_form(_E_ISOMETRY), tol),
+        "residuals": triple._norms(*_COMMUTATORS, *_IDENTITIES),
     }
 
 
 def check_pc(triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Test the pseudo-commutative isometry/unitary criteria.
 
-    Requires T isometric, A and B commuting with T, and A = B*T; the
-    equivalent formulation B = A*T is cross-checked.  For the unitary case
-    the identities A*A = BB* and AA* = B*B are verified as a consistency
-    check.
+    A pc-isometry has T isometric, A and B commuting with T, and A = B*T;
+    the equivalent formulation B = A*T is cross-checked.  A pc-unitary is a
+    pc-isometry with TT* = I.  Its identities A*A = BB* and AA* = B*B are
+    implied, so they are not tested: T is then unitary, hence normal, and
+    by Fuglede's theorem B commutes with T* as well, so A = B*T = TB* and
+    A*A = BT*TB* = BB*, AA* = B*TT*B = B*B.
     """
-    bound = tol.eq_tol * triple.scale_norm()
-    res = triple._norms("comm_at", "comm_bt", *_IDENTITIES)
-    base = all(res[k] <= bound for k in ("isometry_t", "comm_at", "comm_bt"))
-    pc_iso_1 = base and res["a_minus_bstar_t"] <= bound
-    pc_iso_2 = base and res["b_minus_astar_t"] <= bound
-    pc_unitary = pc_iso_1 and res["coisometry_t"] <= bound
-    if pc_unitary:
-        res["pc_identity_1"] = _nrm(
-            triple.a.conj().T @ triple.a - triple.b @ triple.b.conj().T
-        )
-        res["pc_identity_2"] = _nrm(
-            triple.a @ triple.a.conj().T - triple.b.conj().T @ triple.b
-        )
-        pc_unitary = res["pc_identity_1"] <= bound and res["pc_identity_2"] <= bound
+    pc_isometry = triple._holds(_PC_ISOMETRY, tol)
     return {
-        "pc_isometry": pc_iso_1,
-        "pc_unitary": pc_unitary,
-        "forms_agree": pc_iso_1 == pc_iso_2,
-        "residuals": res,
+        "pc_isometry": pc_isometry,
+        "pc_unitary": triple._holds(_PC_UNITARY, tol),
+        "forms_agree": pc_isometry == triple._holds(_other_form(_PC_ISOMETRY), tol),
+        "residuals": triple._norms("comm_at", "comm_bt", *_IDENTITIES),
     }
 
 
@@ -323,9 +323,8 @@ def certify_e_contraction(
     if not commuting:
         failed.append("commutativity")
 
-    norms = triple._norms(*_NORMS)
-    residuals.update(norms)
-    if any(v > 1.0 + tol.eq_tol for v in norms.values()):
+    residuals.update(triple._norms(*_NORMS))
+    if not triple._holds(_NORMS, tol):
         failed.append("norm_bound")
 
     if commuting:

@@ -147,9 +147,8 @@ def _fundamental_pair(
         raise NotCommutingError(
             "fundamental pair requires a commuting triple: " + str(comm_res)
         )
-    norm_t = triple._norm("norm_t")
-    if norm_t > 1.0 + tol.eq_tol:
-        raise NotAContractionError(f"||T|| = {norm_t:.6f} exceeds 1")
+    if not triple._holds(("norm_t",), tol):
+        raise NotAContractionError(f"||T|| = {triple._norm('norm_t'):.6f} exceeds 1")
     a, b, t = triple.a, triple.b, triple.t
     if adjoint:
         a, b, t = (np.ascontiguousarray(m.conj().T) for m in (a, b, t))

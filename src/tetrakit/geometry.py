@@ -159,18 +159,20 @@ def in_tetrablock(p: Point3, tol: Tolerances = DEFAULT_TOL) -> MembershipVerdict
 
     Both the (a, b, t) and the swapped (b, a, t) criteria are evaluated;
     they agree up to rounding, and disagreement is flagged as marginal.
-    When the point is in the closure, the norm-minimizing completion is
-    attached as a witness.
+    The distinguished boundary is decided once, by _bE_check, and lies in
+    the closure and outside the open set; the disk criterion alone calls
+    bE points with |b| = 1 + O(eq_tol) outside.  When the point is in the
+    closure, the norm-minimizing completion is attached as a witness.
     """
     open_ab, closed_ab, marg_ab, sup_ab = _criterion(p, tol)
     open_ba, closed_ba, marg_ba, sup_ba = _criterion(p.swapped(), tol)
     marginal = marg_ab or marg_ba or (open_ab != open_ba) or (closed_ab != closed_ba)
-    in_open = open_ab and open_ba and not marginal
-    in_closure = closed_ab and closed_ba
+    bE = _bE_check(p, tol)
+    in_open = open_ab and open_ba and not marginal and not bE
+    in_closure = bE or (closed_ab and closed_ba)
     witness = None
     if in_closure and min_completion_norm(p) <= 1.0 + tol.eq_tol:
         witness = completion_witness(p)
-    bE = _bE_check(p, tol)
     return MembershipVerdict(
         in_open=in_open,
         in_closure=in_closure,
@@ -195,27 +197,21 @@ def in_distinguished_boundary(
 ) -> MembershipVerdict:
     """Distinguished-boundary membership: |t| = 1, a = conj(b) t, |b| <= 1.
 
-    These are exactly the points whose 2x2 completion can be made unitary;
-    when the test passes an explicit unitary witness is constructed by
-    splitting the phase of t over the off-diagonal entries.
+    The verdict of in_tetrablock, whose in_bE is this test, with its
+    witness replaced: these are exactly the points whose 2x2 completion can
+    be made unitary, and when the test passes an explicit unitary witness
+    is constructed by splitting the phase of t over the off-diagonal
+    entries (None otherwise).
     """
-    is_bE = _bE_check(p, tol)
-    witness = None
-    if is_bE:
+    verdict = in_tetrablock(p, tol)
+    verdict.witness = None
+    if verdict.in_bE:
         s = math.sqrt(max(1.0 - abs(p.b) ** 2, 0.0))
         half_phase = cmath.exp(0.5j * cmath.phase(p.t))
-        witness = np.array(
+        verdict.witness = np.array(
             [[p.a, s * half_phase], [-s * half_phase, p.b]], dtype=complex
         )
-    base = in_tetrablock(p, tol)
-    return MembershipVerdict(
-        in_open=False if is_bE else base.in_open,
-        in_closure=is_bE or base.in_closure,
-        in_bE=is_bE,
-        sup_psi_ab=base.sup_psi_ab,
-        sup_psi_ba=base.sup_psi_ba,
-        witness=witness,
-    )
+    return verdict
 
 
 def _sample_bE_array(count: int, seed: int) -> np.ndarray:

@@ -594,7 +594,7 @@ def _phase_coincidence(m1s, m2s, d1, d2, bound: float):
     verified candidate) leaves the decision to the Kronecker system.
     """
     p, out, inn = m1s.shape
-    if not p or out != inn:
+    if not (p and inn) or out != inn:
         return None
     svals = np.linalg.svd(m1s, compute_uv=False)
     steps = svals[:, :-1] - svals[:, 1:]

@@ -444,3 +444,55 @@ class TestReportInvariants:
             if rep.e_isometry:
                 assert rep.pc_isometry
             assert rep.semi_strict is None
+
+    def test_class_keys_nest(self):
+        # A class that implies another bounds every norm-table entry of it.
+        implied = {
+            cl._E_UNITARY: (cl._E_ISOMETRY, cl._PC_UNITARY, cl._PC_ISOMETRY, cl._COMMUTATORS),
+            cl._E_ISOMETRY: (cl._PC_ISOMETRY, cl._COMMUTATORS),
+            cl._PC_UNITARY: (cl._PC_ISOMETRY,),
+        }
+        for keys, weaker in implied.items():
+            assert set(keys) <= set(cl._FORMULAS)
+            for other in weaker:
+                assert set(other) <= set(keys)
+
+
+def edge_triple(family, seed, dim):
+    """A strict E-unitary moved to the edge of the tolerance: "a" adds
+    0.9 eq_tol scale_norm() T to A, "b" rescales B to norm 1 + 0.9 eq_tol
+    and sets A = B*T."""
+    trip = gen.gen_strict_e_unitary(GenConfig(seed=seed, dim=dim))
+    eq_tol = DEFAULT_TOL.eq_tol
+    if family == "a":
+        a = trip.a + 0.9 * eq_tol * trip.scale_norm() * trip.t
+        return cl.OperatorTriple(a, trip.b, trip.t)
+    b = trip.b * (1.0 + 0.9 * eq_tol) / operator_norm(trip.b)
+    return cl.OperatorTriple(b.conj().T @ trip.t, b, trip.t)
+
+
+class TestToleranceEdge:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["a", "b"]),
+        seed=st.integers(0, 10**6),
+        dim=st.integers(1, 5),
+    )
+    def test_edge_families_keep_the_implications(self, family, seed, dim):
+        rep = cl.classify_triple(edge_triple(family, seed, dim), mc_samples=8, seed=seed)
+        assert rep.e_unitary
+        assert rep.e_isometry and rep.pc_unitary and rep.pc_isometry
+        if family == "b":
+            # Every joint eigenvalue tuple lies on bE, so in the closure.
+            assert rep.failed_checks == []
+            assert rep.contraction_certificate is cl.Certificate.PASSED_NECESSARY
+
+    def test_pc_unitary_needs_no_identity_check(self):
+        # The pc identities A*A = BB*, AA* = B*B read about 2.4e-9 here,
+        # beyond eq_tol scale_norm(); they are implied, not tested.
+        trip = edge_triple("a", 4, 3)
+        pc = cl.check_pc(trip)
+        assert pc["pc_isometry"] and pc["pc_unitary"] and pc["forms_agree"]
+        assert set(pc["residuals"]) == {"comm_at", "comm_bt", *cl._IDENTITIES}
+        identity = operator_norm(trip.a.conj().T @ trip.a - trip.b @ trip.b.conj().T)
+        assert identity > DEFAULT_TOL.eq_tol * trip.scale_norm()

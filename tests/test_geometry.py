@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -191,6 +192,27 @@ class TestDistinguishedBoundary:
     def test_bE_subset_of_closure(self):
         for p in geo.sample_bE(300, seed=61):
             assert geo.in_tetrablock(p).in_closure
+
+    def test_perturbed_bE_points(self):
+        # Points within a few eq_tol of bE, |b| = 1 included: a bE verdict
+        # lies in the closure and outside the open set, and
+        # in_distinguished_boundary is in_tetrablock's verdict but for its
+        # witness.
+        rng = np.random.default_rng(62)
+        fields = [f.name for f in dataclasses.fields(geo.MembershipVerdict) if f.name != "witness"]
+        on_bE = 0
+        for p in geo.sample_bE(1500, seed=63):
+            b = p.b / abs(p.b) if rng.random() < 0.3 else p.b
+            b, t = (x * (1.0 + 2e-9 * rng.uniform(-1.0, 1.0)) for x in (b, p.t))
+            a = b.conjugate() * t + 1e-9 * complex(*rng.uniform(-1.0, 1.0, 2))
+            q = geo.Point3(a, b, t)
+            verdict = geo.in_tetrablock(q)
+            if verdict.in_bE:
+                on_bE += 1
+                assert verdict.in_closure and not verdict.in_open
+            boundary = geo.in_distinguished_boundary(q)
+            assert [getattr(boundary, f) for f in fields] == [getattr(verdict, f) for f in fields]
+        assert 0 < on_bE < 1500
 
 
 class TestSampleBE:

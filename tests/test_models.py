@@ -739,6 +739,30 @@ class TestExtractAndCoincide:
             assert rep.coincide, rep.residuals
             assert max(rep.residuals.values()) <= 1e-9
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda dim: gen.gen_strict_e_unitary(GenConfig(seed=dim, dim=dim)),
+            lambda dim: gen.gen_pc_unitary(GenConfig(seed=dim, dim=dim)),
+            lambda dim: cl.OperatorTriple(0.3 * np.eye(dim), 0.3 * np.eye(dim), np.eye(dim)),
+            lambda dim: cl.OperatorTriple(
+                0.4 * np.eye(dim), 0.4 * np.exp(-0.7j) * np.eye(dim), np.exp(0.7j) * np.eye(dim)
+            ),
+        ],
+        ids=["strict-e-unitary", "pc-unitary", "identity-t", "scalar-t"],
+    )
+    def test_unitary_t_sets_coincide(self, make, dim):
+        # A unitary T has an empty defect, so the Theta samples are 0x0.
+        trip = make(dim)
+        u = gen.haar_unitary(np.random.default_rng(dim + 40), dim)
+        ds = md.extract_data_set(trip, grid=8)
+        assert ds.defect_dims == (0, 0)
+        for other in (ds, md.extract_data_set(trip.conjugate_by(u), grid=8)):
+            rep = md.coincide(ds, other)
+            assert rep.coincide, rep.residuals
+            assert max(rep.residuals.values()) <= 1e-9
+
     def test_unitary_candidates_on_wide_system(self):
         # Seven equations in eight unknowns (two 2x2 blocks): the null space
         # is spanned by the known unitary pair, and only the full right
