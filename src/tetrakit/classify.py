@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -251,6 +251,81 @@ _MOBIUS_POINTS = np.concatenate([
     / np.cos(np.pi / _MOBIUS_GRID),
 ])
 
+
+def _mobius_form_maxima(triple: OperatorTriple) -> tuple[float, float]:
+    """Condition (c)'s (mobius_form_max, mobius_form_upper): the largest top
+    eigenvalue of the forms H_r(z) = F_r + z K_r + conj(z) K_r* on the grid
+    of _MOBIUS_POINTS, and the larger of that and their largest top
+    eigenvalue on its vertices, K_r = r (second - first* T).
+
+    Both are the maxima of the dense grid, bit for bit, but only pencils that
+    can still hold one are evaluated.  By Weyl's inequality
+    |lmax H_r(z) - lmax H_r(z')| <= 2 |z - z'| ||K_r||, so a point whose
+    bound from an evaluated or bounded neighbour stays below the best value
+    found so far, by more than a slack far above eigvalsh's rounding, is
+    skipped.  The grid is evaluated at every 8th point, then at the
+    midpoints that the bound keeps, with the spacing halved until it is 1;
+    a vertex lies tan(pi/N) from its two grid neighbours.  An empty
+    triple's forms are empty and report 0, as in _circle_sup.
+    """
+    n = triple.dim
+    if not n:
+        return 0.0, 0.0
+    eye = np.eye(n)
+    t, tt = triple.t, triple.t.conj().T @ triple.t
+    fixed, mats = [], []
+    for radius, (first, second) in itertools.product(
+        _MOBIUS_RADII, ((triple.a, triple.b), (triple.b, triple.a))
+    ):
+        fixed.append(first.conj().T @ first - eye + radius**2 * (tt - second.conj().T @ second))
+        mats.append(radius * (second - first.conj().T @ t))
+    fixed, mats = np.array(fixed), np.array(mats)
+    norms = np.linalg.svd(np.concatenate([fixed, mats]), compute_uv=False)[:, 0]
+    f_norms, k_norms = np.split(norms, 2)
+    slack = 1e-12 * (1.0 + f_norms.max() + 2.0 * k_norms.max())
+    weyl = 2.0 * k_norms[:, None]
+
+    def tops(rows, cols):
+        # Each pencil is formed as in a dense pass over all points, so each
+        # top eigenvalue is the same float; a 1x1 form is its own eigenvalue.
+        s = _MOBIUS_POINTS[cols, None, None] * mats[rows]
+        pencils = fixed[rows] + s + s.conj().swapaxes(1, 2)
+        return pencils[:, 0, 0].real if n == 1 else np.linalg.eigvalsh(pencils)[:, -1]
+
+    # bounds[r, j] bounds the top eigenvalue of row r at grid point j from
+    # above, and is that eigenvalue where it was evaluated.
+    grid, step = _MOBIUS_GRID, 8
+    bounds = np.empty((len(fixed), grid))
+    rows, cols = np.divmod(np.arange(len(fixed) * grid // step), grid // step)
+    bounds[:, ::step] = tops(rows, step * cols).reshape(len(fixed), -1)
+    best = bounds[:, ::step].max()
+    while step > 1:
+        step //= 2
+        mids = np.arange(step, grid, 2 * step)
+        bound = np.minimum(bounds[:, mids - step], bounds[:, (mids + step) % grid])
+        bound += weyl * (2.0 * np.sin(np.pi * step / grid))
+        rows, cols = np.nonzero(bound >= best - slack)
+        if rows.size:
+            bound[rows, cols] = values = tops(rows, mids[cols])
+            best = max(best, values.max())
+        bounds[:, mids] = bound
+    lower = float(best)
+
+    # Vertex j lies between grid points j and j + 1.  The two with the
+    # largest bounds are evaluated first, then every vertex that can beat them.
+    vertex_bounds = np.minimum(bounds, np.roll(bounds, -1, axis=1))
+    vertex_bounds += weyl * np.tan(np.pi / grid)
+    rows, cols = np.divmod(np.argpartition(vertex_bounds, -2, axis=None)[-2:], grid)
+    top = tops(rows, grid + cols).max()
+    vertex_bounds[rows, cols] = -np.inf
+    rows, cols = np.nonzero(vertex_bounds >= top - slack)
+    if rows.size:
+        top = max(top, tops(rows, grid + cols).max())
+    # Where K_r is zero up to rounding the two maxima agree only to
+    # rounding; the upper one is kept at or above the lower one.
+    return lower, max(float(top), lower)
+
+
 # Exponents (i, j, k) of the monomials a^i b^j t^k of total degree <= 3.
 _EXPONENTS = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
 
@@ -298,10 +373,13 @@ def certify_e_contraction(
           I - zB is singular.  It is convex in e^{i theta}: its maximum on
           a fixed 128-point grid (mobius_form_max) is attained, and its
           maximum on the vertices of the circumscribed 128-gon
-          (mobius_form_upper) bounds it from above.  The map fails when
-          mobius_form_max exceeds (2d + d^2) scale_norm()^2, d = 100 eq_tol,
-          the image of ||N P^{-1}|| <= 1 + d;
-      (d) every joint eigenvalue tuple lies in the closed tetrablock;
+          (mobius_form_upper) bounds it from above.  Both are the maxima
+          of the dense grid and vertex set, found by evaluating only the
+          pencils whose Weyl bound reaches the best value found so far.
+          The map fails when mobius_form_max exceeds (2d + d^2)
+          scale_norm()^2, d = 100 eq_tol, the image of ||N P^{-1}|| <= 1 + d;
+      (d) every joint eigenvalue tuple lies in the closed tetrablock, tested
+          at eq_tol scale_norm(), the scale of the class tests;
       (e) a randomized polynomial von Neumann test of total degree <= 3
           against a sampled distinguished-boundary supremum augmented with
           the joint eigenvalue tuples, with an additive margin
@@ -315,8 +393,6 @@ def certify_e_contraction(
         raise PreconditionError(f"boundary_samples must be at least 1, got {boundary_samples}")
     residuals: dict[str, float] = {}
     failed: list[str] = []
-    n = triple.dim
-    eye = np.eye(n)
 
     commuting, comm_res = is_commuting(triple, tol)
     residuals.update(comm_res)
@@ -328,21 +404,9 @@ def certify_e_contraction(
         failed.append("norm_bound")
 
     if commuting:
-        # Top eigenvalues of the forms, one row per (radius, orientation);
-        # an empty triple's forms are empty and report 0, as in _circle_sup.
-        rows = []
-        t, tt = triple.t, triple.t.conj().T @ triple.t
-        pairs = ((triple.a, triple.b), (triple.b, triple.a)) if n else ()
-        for radius, (first, second) in itertools.product(_MOBIUS_RADII, pairs):
-            fixed = first.conj().T @ first - eye + radius**2 * (tt - second.conj().T @ second)
-            s = _MOBIUS_POINTS[:, None, None] * (radius * (second - first.conj().T @ t))
-            rows.append(np.linalg.eigvalsh(fixed + s + s.conj().swapaxes(1, 2))[:, -1])
-        tops = np.array(rows) if rows else np.zeros((1, 2 * _MOBIUS_GRID))
-        # Where M_r is zero up to rounding the two ends agree only to
-        # rounding; the upper end is kept at or above the lower one.
-        lower = float(np.max(tops[:, :_MOBIUS_GRID]))
+        lower, upper = _mobius_form_maxima(triple)
         residuals["mobius_form_max"] = lower
-        residuals["mobius_form_upper"] = max(float(np.max(tops[:, _MOBIUS_GRID:])), lower)
+        residuals["mobius_form_upper"] = upper
         # ||X|| <= 1 + d with X = N P^{-1} gives N*N - P*P = P*(X*X - I)P
         # <= (2d + d^2) ||P||^2, and ||P|| = ||I - zB|| <= scale_norm().
         delta = 100.0 * tol.eq_tol
@@ -350,10 +414,13 @@ def certify_e_contraction(
             failed.append("mobius_contractivity")
 
         tuples = joint_eigenvalues([triple.a, triple.b, triple.t], tol)
+        # Each tuple is tested on the scale of the class tests, which bound
+        # ||A - B*T|| at eq_tol scale_norm().
+        point_tol = replace(tol, eq_tol=tol.eq_tol * triple.scale_norm())
         spectrum_margin = 0.0
         in_closure = []
         for tup in tuples:
-            verdict = geometry.in_tetrablock(geometry.Point3(*tup), tol)
+            verdict = geometry.in_tetrablock(geometry.Point3(*tup), point_tol)
             if verdict.in_closure:
                 in_closure.append(tup)
             else:
@@ -372,7 +439,8 @@ def certify_e_contraction(
             monomials = np.stack(
                 [powers[0][i] @ powers[1][j] @ powers[2][k] for i, j, k in _EXPONENTS]
             )
-            op_norms = np.linalg.norm(np.tensordot(coeffs, monomials, axes=1), 2, axis=(1, 2))
+            ops = np.tensordot(coeffs, monomials, axes=1)
+            op_norms = np.linalg.svd(ops, compute_uv=False)[:, 0]
             mass = np.sum(np.abs(coeffs), axis=1)
             violation = op_norms - sups - 10.0 * tol.eq_tol * mass
             worst_violation = float(np.max(violation, initial=0.0))

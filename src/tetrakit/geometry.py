@@ -119,7 +119,7 @@ def min_completion_norm(p: Point3) -> float:
     (on bE).  The point lies in the closed (open) tetrablock iff this value
     is <= 1 (< 1).
     """
-    return float(np.linalg.norm(completion_witness(p), 2))
+    return float(np.linalg.svd(completion_witness(p), compute_uv=False)[0])
 
 
 def completion_witness(p: Point3) -> np.ndarray:

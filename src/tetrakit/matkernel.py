@@ -80,8 +80,7 @@ class SubspaceBasis:
 
     def check_orthonormal(self, tol: Tolerances = DEFAULT_TOL) -> float:
         """Return the orthonormality residual ||B*B - I||."""
-        gram = self.basis.conj().T @ self.basis
-        return float(np.linalg.norm(gram - np.eye(self.dim), 2)) if self.dim else 0.0
+        return _norm_or_zero(self.basis.conj().T @ self.basis - np.eye(self.dim))
 
 
 def as_matrix(m, *, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -107,12 +106,12 @@ def operator_norm(m) -> float:
     a = as_matrix(m)
     if a.size == 0:
         raise DimensionError("operator_norm of an empty matrix")
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def _norm_or_zero(m: np.ndarray) -> float:
     """Operator norm that treats empty blocks as zero (internal use)."""
-    return 0.0 if m.size == 0 else float(np.linalg.norm(m, 2))
+    return 0.0 if m.size == 0 else float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def spectral_radius(m) -> float:

@@ -321,7 +321,9 @@ def _observability_rows(
     if n_order is None:
         for first in range(0, _MAX_ORDER, _ORDER_BLOCK):
             extend(min(_ORDER_BLOCK, _MAX_ORDER - first))
-            tails = np.linalg.norm(np.stack(rows[first + 1:]), 2, axis=(1, 2))
+            # An empty defect has no singular values; its tails are 0.
+            tails = np.linalg.svd(np.stack(rows[first + 1:]), compute_uv=False)
+            tails = tails.max(axis=1, initial=0.0)
             hits = np.flatnonzero(tails <= target)
             if hits.size:
                 order = first + int(hits[0])
@@ -503,7 +505,7 @@ def _match_samples(d1: TetrablockDataSet, d2: TetrablockDataSet):
 
 def _max_nrm(stack: np.ndarray) -> float:
     """Largest operator norm in a (P, rows, cols) stack; 0.0 if it is empty."""
-    return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)))) if stack.size else 0.0
+    return float(np.max(np.linalg.svd(stack, compute_uv=False)[:, 0])) if stack.size else 0.0
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:

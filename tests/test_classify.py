@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -158,6 +159,7 @@ def pointwise_certify(trip, mc_samples=64, seed=0, boundary_samples=2048):
     """The certifier written point by point: one Mobius form per z, one
     polynomial at a time, each boundary point as a Point3."""
     tol = DEFAULT_TOL
+    point_tol = dataclasses.replace(tol, eq_tol=tol.eq_tol * trip.scale_norm())
     residuals, failed = {}, []
     commuting, _ = cl.is_commuting(trip, tol)
     if not commuting:
@@ -190,7 +192,7 @@ def pointwise_certify(trip, mc_samples=64, seed=0, boundary_samples=2048):
         except NotCommutingError:
             tuples = []
             failed.append("joint_spectrum")
-        inside = [t for t in tuples if geo.in_tetrablock(geo.Point3(*t), tol).in_closure]
+        inside = [t for t in tuples if geo.in_tetrablock(geo.Point3(*t), point_tol).in_closure]
         if len(inside) < len(tuples):
             failed.append("joint_spectrum")
         if "norm_bound" not in failed and tuples:
@@ -301,6 +303,98 @@ class TestBatchedCertifier:
             trip = gen.gen_strict_e_unitary(GenConfig(seed=seed, dim=1 + seed % 4))
             res = cl.certify_e_contraction(trip, mc_samples=1, seed=seed)["residuals"]
             assert 0.0 <= res["mobius_form_upper"] - res["mobius_form_max"] <= 1e-12, seed
+
+
+def dense_mobius_maxima(trip):
+    """Condition (c)'s two maxima from the top eigenvalue of every one of
+    the 6 x 256 pencils, as the certifier computed them before it skipped
+    pencils by their Weyl bound."""
+    n = trip.dim
+    eye = np.eye(n)
+    rows = []
+    t, tt = trip.t, trip.t.conj().T @ trip.t
+    pairs = ((trip.a, trip.b), (trip.b, trip.a)) if n else ()
+    for radius, (first, second) in itertools.product(cl._MOBIUS_RADII, pairs):
+        fixed = first.conj().T @ first - eye + radius**2 * (tt - second.conj().T @ second)
+        s = cl._MOBIUS_POINTS[:, None, None] * (radius * (second - first.conj().T @ t))
+        rows.append(np.linalg.eigvalsh(fixed + s + s.conj().swapaxes(1, 2))[:, -1])
+    tops = np.array(rows) if rows else np.zeros((1, 2 * cl._MOBIUS_GRID))
+    lower = float(np.max(tops[:, : cl._MOBIUS_GRID]))
+    return lower, max(float(np.max(tops[:, cl._MOBIUS_GRID:])), lower)
+
+
+@st.composite
+def mobius_triples(draw):
+    """Triples whose forms are sloped, flat (K_r = 0 up to rounding: strict
+    E-unitaries, pc-unitaries, special models), nearly unitary in T, or
+    defined where I - zB is singular on the circle."""
+    family = draw(st.sampled_from(
+        ["normal", "generated", "unitary", "special", "near_unitary", "singular"]
+    ))
+    seed = draw(st.integers(0, 2**16))
+    if family == "normal":
+        n = draw(st.integers(1, 6))
+        unit = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        return normal_triple(draw(st.lists(unit, min_size=3 * n, max_size=3 * n)), seed)
+    if family == "generated":
+        tag = draw(st.sampled_from([ClassTag.PURE_E_CONTRACTION, ClassTag.NORMAL_E_CONTRACTION]))
+        return gen.generate(GenConfig(seed=seed, dim=draw(st.integers(1, 8)), class_tag=tag))
+    if family == "unitary":
+        tag = draw(st.sampled_from([ClassTag.STRICT_E_UNITARY, ClassTag.PC_UNITARY]))
+        return gen.generate(GenConfig(seed=seed, dim=draw(st.integers(1, 5)), class_tag=tag))
+    if family == "special":
+        return gen.gen_scalar_special_model(GenConfig(seed=seed, dim=1))[1]
+    if family == "near_unitary":
+        eps = 10.0 ** -draw(st.floats(3.0, 9.0))
+        zero = np.zeros((2, 2))
+        return cl.OperatorTriple(zero, zero, np.diag([1.0 - eps, 0.5]))
+    # B has the eigenvalue e^{i phi}, so I - zB is singular at z = e^{-i phi}.
+    phase = np.exp(2j * np.pi * draw(st.floats(0.0, 1.0)))
+    return cl.OperatorTriple(
+        np.diag([0.5, 0.2]), np.diag([phase, 0.3]), np.diag([0.5 * phase, 0.06])
+    )
+
+
+class TestMobiusMaxima:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mobius_triples())
+    def test_equal_to_the_dense_grid(self, trip):
+        res = cl.certify_e_contraction(trip, mc_samples=1)["residuals"]
+        lower, upper = dense_mobius_maxima(trip)
+        assert res["mobius_form_max"] == lower
+        assert res["mobius_form_upper"] == upper
+
+    def test_pencil_counts(self, monkeypatch):
+        counts = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(pencils):
+            counts[-1] += len(pencils)
+            return eigvalsh(pencils)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for tag in (ClassTag.PURE_E_CONTRACTION, ClassTag.NORMAL_E_CONTRACTION):
+            for dim in range(2, 6):
+                for seed in range(40):
+                    counts.append(0)
+                    cl._mobius_form_maxima(gen.generate(GenConfig(seed, dim, tag)))
+        # A quarter of the 6 x 256 pencils of the dense grid and vertices.
+        assert max(counts) <= 0.25 * 6 * 2 * cl._MOBIUS_GRID, max(counts)
+
+    def test_one_by_one_forms_need_no_eigensolver(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("eigensolver called on a 1x1 form")
+
+        trips = [gen.gen_scalar_special_model(GenConfig(seed, 1))[1] for seed in range(4)]
+        for tag in ClassTag:
+            if tag is not ClassTag.SPECIAL_SCALAR_DATASET:
+                trips += [gen.generate(GenConfig(seed, 1, tag)) for seed in range(5)]
+        trips = [trip for trip in trips if trip.dim == 1]
+        assert len(trips) == 22
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, no_solver)
+        for trip in trips:
+            cl._mobius_form_maxima(trip)
 
 
 class TestSymmetrySuite:
@@ -482,10 +576,10 @@ class TestToleranceEdge:
         rep = cl.classify_triple(edge_triple(family, seed, dim), mc_samples=8, seed=seed)
         assert rep.e_unitary
         assert rep.e_isometry and rep.pc_unitary and rep.pc_isometry
-        if family == "b":
-            # Every joint eigenvalue tuple lies on bE, so in the closure.
-            assert rep.failed_checks == []
-            assert rep.contraction_certificate is cl.Certificate.PASSED_NECESSARY
+        # Every joint eigenvalue tuple lies on bE up to the class tests'
+        # eq_tol scale_norm(), so in the closure at that scale.
+        assert rep.failed_checks == []
+        assert rep.contraction_certificate is cl.Certificate.PASSED_NECESSARY
 
     def test_pc_unitary_needs_no_identity_check(self):
         # The pc identities A*A = BB*, AA* = B*B read about 2.4e-9 here,

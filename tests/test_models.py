@@ -197,6 +197,11 @@ class TestAutoOrder:
         model = md.build_lift(trip)
         assert md.auto_order(trip.t) == (512, True) == (model.order_n, bool(model.warnings))
 
+    def test_unitary_t_needs_order_zero(self):
+        # The defect of a unitary T is empty, so every tail is 0.
+        trip = gen.gen_strict_e_unitary(GenConfig(seed=1, dim=2))
+        assert md.auto_order(trip.t) == (0, False) == md.auto_order(np.eye(3))
+
 
 def count_calls(monkeypatch, original):
     """Record the arguments of every call to ``original`` through every
