@@ -36,7 +36,6 @@ from .fundops import (
     fundamental_pair,
     is_special_pair,
     pencil_contractive,
-    solve_quadratic_douglas,
 )
 from .geometry import (
     MembershipVerdict,

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, NotAContractionError, PreconditionError
 from .matkernel import (
     DEFAULT_TOL,
     SubspaceBasis,
@@ -107,11 +107,13 @@ class OperatorTriple:
 
     def _holds(self, keys, tol: Tolerances) -> bool:
         """Whether every named entry of the norm table is within its bound:
-        a norm of A, B or T at most 1 + eq_tol, any other residual at most
-        eq_tol * scale_norm().  This is the one bound rule of every class
-        test."""
+        a norm of A, B or T at most tol.contraction_bound, any other
+        residual at most eq_tol * scale_norm().  This is the one bound rule
+        of every class test."""
         bound = tol.eq_tol * self.scale_norm()
-        return all(self._norm(k) <= (1.0 + tol.eq_tol if k in _NORMS else bound) for k in keys)
+        return all(
+            self._norm(k) <= (tol.contraction_bound if k in _NORMS else bound) for k in keys
+        )
 
 
 # The tol-free norms of a triple, keyed by their residual names: the norms
@@ -360,10 +362,12 @@ def certify_e_contraction(
 ) -> dict:
     """One-sided certifier for the tetrablock-contraction property.
 
-    Returns CERTIFIED_NOT as soon as any necessary condition fails:
+    Returns CERTIFIED_NOT as soon as any necessary condition fails.  (a)
+    and (b) are always tested; (c)-(e) only once both have passed, so a
+    triple with huge entries is certified not contractive by its norm alone:
 
       (a) pairwise commutativity;
-      (b) ||A||, ||B||, ||T|| <= 1 + eq_tol;
+      (b) ||A||, ||B||, ||T|| <= 1 + eq_tol, the contraction rule;
       (c) contractivity of the operator Mobius maps (A - zT)(I - zB)^{-1}
           and the swapped variant on circles of radius 0.9, 0.99 and 1.
           On |z| = r the map is contractive iff the Hermitian form
@@ -400,10 +404,11 @@ def certify_e_contraction(
         failed.append("commutativity")
 
     residuals.update(triple._norms(*_NORMS))
-    if not triple._holds(_NORMS, tol):
+    norm_bound = triple._holds(_NORMS, tol)
+    if not norm_bound:
         failed.append("norm_bound")
 
-    if commuting:
+    if commuting and norm_bound:
         lower, upper = _mobius_form_maxima(triple)
         residuals["mobius_form_max"] = lower
         residuals["mobius_form_upper"] = upper
@@ -417,19 +422,15 @@ def certify_e_contraction(
         # Each tuple is tested on the scale of the class tests, which bound
         # ||A - B*T|| at eq_tol scale_norm().
         point_tol = replace(tol, eq_tol=tol.eq_tol * triple.scale_norm())
-        spectrum_margin = 0.0
-        in_closure = []
-        for tup in tuples:
-            verdict = geometry.in_tetrablock(geometry.Point3(*tup), point_tol)
-            if verdict.in_closure:
-                in_closure.append(tup)
-            else:
-                failed.append("joint_spectrum")
-            gap = max(verdict.sup_psi_ab, verdict.sup_psi_ba) - 1.0
-            spectrum_margin = max(spectrum_margin, gap)
-        residuals["joint_spectrum_excess"] = max(spectrum_margin, 0.0)
+        verdicts = [geometry.in_tetrablock(geometry.Point3(*tup), point_tol) for tup in tuples]
+        in_closure = [tup for tup, verdict in zip(tuples, verdicts) if verdict.in_closure]
+        if len(in_closure) < len(tuples):
+            failed.append("joint_spectrum")
+        residuals["joint_spectrum_excess"] = max(
+            [0.0] + [max(v.sup_psi_ab, v.sup_psi_ba) - 1.0 for v in verdicts]
+        )
 
-        if "norm_bound" not in failed and tuples:
+        if tuples:
             coeffs, boundary_sups = _test_polynomials(mc_samples, seed, boundary_samples)
             sups = np.maximum(boundary_sups, _poly_sups(in_closure, coeffs))
             powers = [
@@ -448,7 +449,6 @@ def certify_e_contraction(
             if worst_violation > 0.0:
                 failed.append("von_neumann")
 
-    failed = list(dict.fromkeys(failed))
     certificate = Certificate.CERTIFIED_NOT if failed else Certificate.PASSED_NECESSARY
     return {"certificate": certificate, "residuals": residuals, "failed": failed}
 
@@ -489,9 +489,10 @@ def classify_triple(
 def compute_Q(t_mat, tol: Tolerances = DEFAULT_TOL) -> QLimit:
     """Projection Q = lim T^n T^{*n} onto the unitary part H_u of T.
 
-    T must be a contraction.  This is the one rule that decides the unitary
-    part of T: its carrier is H_u for canonical_decomposition, and through
-    it for residual_triple, build_lift and extract_data_set.  For a
+    T must pass the contraction rule, ||T|| <= tol.contraction_bound, or
+    NotAContractionError is raised.  This is the one rule that decides the
+    unitary part of T: its carrier is H_u for canonical_decomposition, and
+    through it for residual_triple, build_lift and extract_data_set.  For a
     contraction, T v = lambda v with |lambda| = 1 implies
     T* v = conj(lambda) v, so H_u is the span of the eigenvectors of
     unimodular eigenvalues, and it reduces T.  An eigenvalue counts as
@@ -501,8 +502,8 @@ def compute_Q(t_mat, tol: Tolerances = DEFAULT_TOL) -> QLimit:
     """
     t = as_matrix(t_mat, square=True, name="T")
     norm = _nrm(t)
-    if norm > 1.0 + 10.0 * tol.psd_tol:
-        raise PreconditionError(f"||T|| = {norm:.6f} exceeds 1")
+    if norm > tol.contraction_bound:
+        raise NotAContractionError(f"||T|| = {norm:.6f} exceeds 1")
     lam, vecs = np.linalg.eig(t)
     unimodular = 1.0 - np.abs(lam) ** 2 <= tol.eq_tol * (1.0 + norm)
     basis, _ = np.linalg.qr(vecs[:, unimodular], mode="complete")

@@ -12,6 +12,10 @@ commutativity that check bounds the determining residuals as well.  The
 pair built from (A*, B*, T*) drives the functional models and is
 conventionally called (G1, G2).  The pencil bracket and the special-pair
 flag are part of the fundamental_pair report only.
+
+T is a contraction by the one rule of every stage, ||T|| <= 1 + eq_tol
+(Tolerances.contraction_bound), and the defect space is the range of
+D_T = (I - T*T)^{1/2} under the one rank cut, Tolerances.defect_support.
 """
 
 from __future__ import annotations
@@ -24,21 +28,11 @@ import numpy as np
 from .classify import OperatorTriple, is_commuting
 from .errors import (
     InconsistentInputError,
-    InternalConsistencyError,
     NotAContractionError,
     NotCommutingError,
-    NotPSDError,
     PreconditionError,
 )
-from .matkernel import (
-    DEFAULT_TOL,
-    SubspaceBasis,
-    Tolerances,
-    as_matrix,
-    commutator,
-    numerical_radius,
-    solve_sandwich,
-)
+from .matkernel import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix, commutator
 from .matkernel import _circle_sup, _norm_or_zero as _nrm
 
 __all__ = [
@@ -48,7 +42,6 @@ __all__ = [
     "is_special_pair",
     "pencil_contractive",
     "pencil_numerical_radius_max",
-    "solve_quadratic_douglas",
 ]
 
 
@@ -81,11 +74,12 @@ class FundamentalPair:
 def defect(t_mat, adjoint: bool = False, tol: Tolerances = DEFAULT_TOL):
     """Defect operator D = (I - T*T)^{1/2} (or (I - TT*)^{1/2}) and its range.
 
-    The carrier rank is decided on the eigenvalues of I - T*T at the
-    natural scale 1 + ||T||^2, where 1 - ||T||^2 is the least of them, so a
-    numerically unitary T gets the empty carrier instead of picking up
-    rounding noise.  Raises NotAContractionError when ||T|| exceeds 1
-    beyond tolerance.
+    ||T|| is read off the least eigenvalue of I - T*T, and T must pass the
+    one contraction rule, ||T|| <= tol.contraction_bound, or
+    NotAContractionError is raised.  The carrier is cut by the one rank
+    rule, tol.defect_support; every other eigenvalue, including those a
+    T just beyond norm 1 makes negative, is zeroed, so a numerically
+    unitary T gets the empty carrier instead of picking up rounding noise.
     """
     t = as_matrix(t_mat, square=True, name="T")
     n = t.shape[0]
@@ -95,13 +89,10 @@ def defect(t_mat, adjoint: bool = False, tol: Tolerances = DEFAULT_TOL):
     gram = t @ t.conj().T if adjoint else t.conj().T @ t
     herm = np.eye(n) - 0.5 * (gram + gram.conj().T)
     w, v = np.linalg.eigh(herm)
-    norm_t = float(np.sqrt(max(1.0 - w[0], 0.0)))
-    if norm_t > 1.0 + tol.psd_tol * 10.0:
+    norm_t = math.sqrt(max(1.0 - w[0], 0.0))
+    if norm_t > tol.contraction_bound:
         raise NotAContractionError(f"||T|| = {norm_t:.6f} exceeds 1")
-    scale = 1.0 + norm_t**2
-    if w[0] < -tol.psd_tol * scale:
-        raise NotPSDError(f"I - T*T has eigenvalue {w[0]:.3e}")
-    keep = w > tol.psd_tol * scale
+    keep = tol.defect_support(w)
     w = np.where(keep, w, 0.0)
     d = (v * np.sqrt(w)) @ v.conj().T
     d = 0.5 * (d + d.conj().T)
@@ -207,7 +198,7 @@ def pencil_contractive(
     b = as_matrix(g2, square=True, name="G2")
     if a.shape != b.shape:
         raise PreconditionError("G1, G2 must have equal size")
-    bound = 1.0 + tol.eq_tol
+    bound = tol.contraction_bound
     gram = a @ a.conj().T + b.conj().T @ b
     sup = math.sqrt(max(_circle_sup(gram, [2.0 * a @ b], bound=bound**2)[0], 0.0))
     return sup <= bound, sup
@@ -231,36 +222,3 @@ def pencil_numerical_radius_max(
     if a.shape != b.shape:
         raise PreconditionError("X1, X2 must have equal size")
     return max(_circle_sup(0.0, [a, b])[0], 0.0)
-
-
-def solve_quadratic_douglas(
-    d, sigma, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Solve Sigma = D F D* for F on closure Ran D* with nu(F) <= 1.
-
-    The premise D D* >= Re(alpha Sigma) for all unimodular alpha fails when
-    the attained lower end of the circle-supremum bracket of the top
-    eigenvalue of Re(alpha Sigma) - D D* exceeds psd_tol * scale.  A bracket
-    straddling that bound is accepted: on a target flat along the circle
-    (nu(F) = 1, a disk numerical range) the cell limit ends the refinement
-    first.  Under the premise the solution F, unique on the carrier, has
-    numerical radius at most one, which is re-verified and enforced.
-    """
-    dm = as_matrix(d, name="D")
-    sg = as_matrix(sigma, name="Sigma")
-    if sg.shape != (dm.shape[0], dm.shape[0]):
-        raise PreconditionError("Sigma must be square of D's row dimension")
-    gram = dm @ dm.conj().T
-    bound = tol.psd_tol * (1.0 + _nrm(gram) + _nrm(sg))
-    lower = _circle_sup(-gram, [sg], bound=bound)[0]
-    if lower > bound:
-        raise PreconditionError(
-            f"premise DD* >= Re(alpha Sigma) fails: min eigenvalue {-lower:.3e}"
-        )
-    f = solve_sandwich(dm, dm.conj().T, sg, tol)
-    nu = numerical_radius(f, tol)
-    if nu > 1.0 + 10.0 * tol.eq_tol:
-        raise InternalConsistencyError(
-            f"premise held but nu(F) = {nu:.12f} exceeds 1"
-        )
-    return f

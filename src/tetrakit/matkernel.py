@@ -57,6 +57,19 @@ class Tolerances:
         if not all(0 < v < math.inf for v in (self.eq_tol, self.psd_tol)):
             raise ValueError("eq_tol and psd_tol must be positive and finite")
 
+    @property
+    def contraction_bound(self) -> float:
+        """The one contraction rule of every stage: X is a contraction when
+        ||X|| <= 1 + eq_tol."""
+        return 1.0 + self.eq_tol
+
+    def defect_support(self, w: np.ndarray) -> np.ndarray:
+        """The one rank cut of every defect: which eigenvalues w of I - X*X,
+        ascending along the last axis, span the range of D_X.  They are those
+        with w > psd_tol (1 + ||X||^2), where ||X||^2 = 1 - w_min is read off
+        the least of them."""
+        return w > self.psd_tol * (2.0 - w[..., :1])
+
 
 DEFAULT_TOL = Tolerances()
 
@@ -251,6 +264,7 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     return lower, max(upper, lower)
 
 
+# Kept though no stage calls them: the benchmark tracer binds numerical_radius and solve_sandwich.
 def numerical_radius(m, tol: Tolerances = DEFAULT_TOL) -> float:
     """Numerical radius sup{|<Mx,x>| : ||x||=1} of a square matrix.
 

@@ -255,11 +255,7 @@ def _residual_part(
         raise InconsistentInputError(
             f"residual compression of T is not unitary: {res}"
         )
-    strict = (
-        part._norm("comm_ab") <= bound
-        and part._norm("norm_a") <= 1.0 + tol.eq_tol
-        and part._norm("norm_b") <= 1.0 + tol.eq_tol
-    )
+    strict = part._norm("comm_ab") <= bound and part._holds(("norm_a", "norm_b"), tol)
     return ResidualTriple(part.a, part.b, part.t, basis, strict, res)
 
 
@@ -780,8 +776,8 @@ def validate_special_data_set(
     fully visible there).
 
     D_Theta at each boundary point is kept as the rows sqrt(w) v* of the
-    eigenpairs of I - Theta*Theta with w > 2 psd_tol (unit scale, so inner
-    samples contribute nothing), stacked grid-major like the residual
+    eigenpairs of I - Theta*Theta that pass the one rank cut of every
+    defect, tol.defect_support, stacked grid-major like the residual
     carrier.  The graph up to the guard degree is one matrix with columns
     z^k [Theta; D_Theta] e_i; its Householder QR gives the enlarged basis,
     whose leading (fourier_modes + 1) d_in columns are the graph basis.
@@ -799,7 +795,7 @@ def validate_special_data_set(
     thetas = np.stack([mat for _, mat in boundary])
 
     w, v = np.linalg.eigh(np.eye(din) - thetas.conj().transpose(0, 2, 1) @ thetas)
-    keep = w > tol.psd_tol * 2.0
+    keep = tol.defect_support(w)
     defect_rows = np.sqrt(w[keep])[:, None] * v.conj().transpose(0, 2, 1)[keep]
     rank = len(defect_rows)
     if d.residual.dim != rank:
