@@ -14,7 +14,6 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -138,17 +137,11 @@ _FORMULAS = {
 # Each class as the norm-table entries that _holds bounds.  A class that
 # implies another lists a superset of its entries, so e_unitary =>
 # e_isometry => pc_isometry and e_unitary => pc_unitary hold by
-# construction.  _OTHER_FORM turns a class into its equivalent form with
-# B = A*T and ||A|| <= 1 in place of A = B*T and ||B|| <= 1.
+# construction.
 _PC_ISOMETRY = ("isometry_t", "comm_at", "comm_bt", "a_minus_bstar_t")
 _PC_UNITARY = _PC_ISOMETRY + ("coisometry_t",)
 _E_ISOMETRY = _PC_ISOMETRY + ("comm_ab", "norm_b")
 _E_UNITARY = _E_ISOMETRY + ("coisometry_t",)
-_OTHER_FORM = {"a_minus_bstar_t": "b_minus_astar_t", "norm_b": "norm_a"}
-
-
-def _other_form(keys: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(_OTHER_FORM.get(k, k) for k in keys)
 
 
 class Certificate(enum.Enum):
@@ -170,7 +163,6 @@ class ClassificationReport:
     e_isometry: bool
     pc_isometry: bool
     pc_unitary: bool
-    semi_strict: Optional[bool]
     contraction_certificate: Certificate
     residuals: dict[str, float]
     failed_checks: list[str] = field(default_factory=list)
@@ -211,14 +203,12 @@ def check_e_isometry(
 
     Isometry: the triple commutes, A = B*T, B is a contraction and T is an
     isometry; unitary additionally requires T to be co-isometric.  The
-    equivalent formulation B = A*T with A contractive is evaluated as well
-    and disagreement is reported rather than resolved.
+    equivalent form B = A*T, ||A|| <= 1 is implied (A*T = T*BT = T*TB = B
+    and ||A|| <= ||B||), so its residual b_minus_astar_t is only reported.
     """
-    e_isometry = triple._holds(_E_ISOMETRY, tol)
     return {
-        "e_isometry": e_isometry,
+        "e_isometry": triple._holds(_E_ISOMETRY, tol),
         "e_unitary": triple._holds(_E_UNITARY, tol),
-        "forms_agree": e_isometry == triple._holds(_other_form(_E_ISOMETRY), tol),
         "residuals": triple._norms(*_COMMUTATORS, *_IDENTITIES),
     }
 
@@ -227,17 +217,15 @@ def check_pc(triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Test the pseudo-commutative isometry/unitary criteria.
 
     A pc-isometry has T isometric, A and B commuting with T, and A = B*T;
-    the equivalent formulation B = A*T is cross-checked.  A pc-unitary is a
-    pc-isometry with TT* = I.  Its identities A*A = BB* and AA* = B*B are
-    implied, so they are not tested: T is then unitary, hence normal, and
+    B = A*T is implied (A*T = T*BT = T*TB = B), so its residual is only
+    reported.  A pc-unitary is a pc-isometry with TT* = I.  Its identities
+    A*A = BB* and AA* = B*B are not tested either: T is unitary, so normal, and
     by Fuglede's theorem B commutes with T* as well, so A = B*T = TB* and
     A*A = BT*TB* = BB*, AA* = B*TT*B = B*B.
     """
-    pc_isometry = triple._holds(_PC_ISOMETRY, tol)
     return {
-        "pc_isometry": pc_isometry,
+        "pc_isometry": triple._holds(_PC_ISOMETRY, tol),
         "pc_unitary": triple._holds(_PC_UNITARY, tol),
-        "forms_agree": pc_isometry == triple._holds(_other_form(_PC_ISOMETRY), tol),
         "residuals": triple._norms("comm_at", "comm_bt", *_IDENTITIES),
     }
 
@@ -330,6 +318,7 @@ def _mobius_form_maxima(triple: OperatorTriple) -> tuple[float, float]:
 
 # Exponents (i, j, k) of the monomials a^i b^j t^k of total degree <= 3.
 _EXPONENTS = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+_BOUNDARY_SAMPLES = 2048  # points of the distinguished boundary bE
 
 
 def _poly_sups(points, coeffs) -> np.ndarray:
@@ -342,23 +331,19 @@ def _poly_sups(points, coeffs) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _test_polynomials(count: int, seed: int, boundary_samples: int):
+def _test_polynomials(count: int, seed: int):
     """Condition (e)'s coefficients, drawn as each polynomial's real then
     imaginary parts in turn, and their sups over the sampled bE.  Neither
     depends on the triple, so each setting is computed once."""
     draws = np.random.default_rng(seed).standard_normal((count, 2, len(_EXPONENTS)))
     coeffs = draws[:, 0] + 1j * draws[:, 1]
-    sups = _poly_sups(geometry._sample_bE_array(boundary_samples, seed + 1), coeffs)
+    sups = _poly_sups(geometry._sample_bE_array(_BOUNDARY_SAMPLES, seed + 1), coeffs)
     coeffs.flags.writeable = sups.flags.writeable = False
     return coeffs, sups
 
 
 def certify_e_contraction(
-    triple: OperatorTriple,
-    tol: Tolerances = DEFAULT_TOL,
-    mc_samples: int = 64,
-    seed: int = 0,
-    boundary_samples: int = 2048,
+    triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL, mc_samples: int = 64, seed: int = 0
 ) -> dict:
     """One-sided certifier for the tetrablock-contraction property.
 
@@ -385,16 +370,14 @@ def certify_e_contraction(
       (d) every joint eigenvalue tuple lies in the closed tetrablock, tested
           at eq_tol scale_norm(), the scale of the class tests;
       (e) a randomized polynomial von Neumann test of total degree <= 3
-          against a sampled distinguished-boundary supremum augmented with
-          the joint eigenvalue tuples, with an additive margin
+          against the supremum over 2048 sampled points of bE and the
+          joint eigenvalue tuples, with an additive margin
           10 * eq_tol * (coefficient mass).
 
     Passing everything yields PASSED_NECESSARY, never a certified yes.
     """
     if mc_samples < 0:
         raise PreconditionError(f"mc_samples must be nonnegative, got {mc_samples}")
-    if boundary_samples < 1:
-        raise PreconditionError(f"boundary_samples must be at least 1, got {boundary_samples}")
     residuals: dict[str, float] = {}
     failed: list[str] = []
 
@@ -431,7 +414,7 @@ def certify_e_contraction(
         )
 
         if tuples:
-            coeffs, boundary_sups = _test_polynomials(mc_samples, seed, boundary_samples)
+            coeffs, boundary_sups = _test_polynomials(mc_samples, seed)
             sups = np.maximum(boundary_sups, _poly_sups(in_closure, coeffs))
             powers = [
                 [np.linalg.matrix_power(m, p) for p in range(4)]
@@ -459,12 +442,7 @@ def classify_triple(
     mc_samples: int = 64,
     seed: int = 0,
 ) -> ClassificationReport:
-    """Run every classification check and assemble one report.
-
-    semi_strict is None for raw triples: deciding it requires the Wold
-    split of a model-built lift, so it is only meaningful for triples that
-    come out of the model machinery.
-    """
+    """Run every classification check and assemble one report."""
     commuting, comm_res = is_commuting(triple, tol)
     iso = check_e_isometry(triple, tol)
     pc = check_pc(triple, tol)
@@ -479,7 +457,6 @@ def classify_triple(
         e_isometry=iso["e_isometry"],
         pc_isometry=pc["pc_isometry"],
         pc_unitary=pc["pc_unitary"],
-        semi_strict=None,
         contraction_certificate=cert["certificate"],
         residuals=residuals,
         failed_checks=cert["failed"],

@@ -35,7 +35,7 @@ def _provenance(args, tol) -> dict:
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "tolerances": {"eq_tol": tol.eq_tol, "psd_tol": tol.psd_tol},
+        "tolerances": {"eq_tol": tol.eq_tol},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
@@ -86,7 +86,6 @@ def _classify(args, tol):
         "e_isometry": rep.e_isometry,
         "pc_isometry": rep.pc_isometry,
         "pc_unitary": rep.pc_unitary,
-        "semi_strict": rep.semi_strict,
         "contraction_certificate": rep.contraction_certificate.value,
         "failed_checks": rep.failed_checks,
         "residuals": rep.residuals,

@@ -13,9 +13,10 @@ pair built from (A*, B*, T*) drives the functional models and is
 conventionally called (G1, G2).  The pencil bracket and the special-pair
 flag are part of the fundamental_pair report only.
 
-T is a contraction by the one rule of every stage, ||T|| <= 1 + eq_tol
-(Tolerances.contraction_bound), and the defect space is the range of
-D_T = (I - T*T)^{1/2} under the one rank cut, Tolerances.defect_support.
+The pair holds A, B and T to the one contraction rule of every stage,
+norm <= 1 + eq_tol (Tolerances.contraction_bound); the defect space is
+the range of D_T = (I - T*T)^{1/2} under the one rank cut,
+Tolerances.defect_support.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import OperatorTriple, is_commuting
+from .classify import _NORMS, OperatorTriple, is_commuting
 from .errors import (
     InconsistentInputError,
     NotAContractionError,
@@ -138,8 +139,8 @@ def _fundamental_pair(
         raise NotCommutingError(
             "fundamental pair requires a commuting triple: " + str(comm_res)
         )
-    if not triple._holds(("norm_t",), tol):
-        raise NotAContractionError(f"||T|| = {triple._norm('norm_t'):.6f} exceeds 1")
+    if not triple._holds(_NORMS, tol):
+        raise NotAContractionError(f"A, B and T must be contractions: {triple._norms(*_NORMS)}")
     a, b, t = triple.a, triple.b, triple.t
     if adjoint:
         a, b, t = (np.ascontiguousarray(m.conj().T) for m in (a, b, t))
@@ -173,14 +174,14 @@ def is_special_pair(
     b = as_matrix(g2, square=True, name="G2")
     if a.shape != b.shape:
         raise PreconditionError("G1, G2 must have equal size")
-    scale = (1.0 + max(_nrm(a), _nrm(b))) ** 2
+    scale = 1.0 + max(_nrm(a), _nrm(b))
     res = {
         "special_comm": _nrm(commutator(a, b)),
         "special_balance": _nrm(
             a.conj().T @ a + b @ b.conj().T - a @ a.conj().T - b.conj().T @ b
         ),
     }
-    bound = tol.eq_tol * scale
+    bound = tol.eq_tol * (scale * scale)
     return all(v <= bound for v in res.values()), res
 
 
@@ -204,9 +205,7 @@ def pencil_contractive(
     return sup <= bound, sup
 
 
-def pencil_numerical_radius_max(
-    x1, x2, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def pencil_numerical_radius_max(x1, x2) -> float:
     """Supremum over the unit circle in z of nu(X1 + z X2).
 
     Since nu(X1 + z X2) is the sup over beta of the top eigenvalue of

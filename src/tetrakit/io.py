@@ -1,7 +1,7 @@
 """JSON serialization for triples, points, data sets, and models.
 
 Two schemas: "tetrakit/io/v1" wraps inputs (points, triples), and
-"tetrakit/model/v1" wraps derived objects (data sets, models).  Complex
+"tetrakit/model/v1" wraps derived data sets.  Complex
 numbers serialize as [re, im] pairs and matrices as
 {"rows": r, "cols": c, "data": [[re, im], ...]} in row-major order, which
 is lossless for finite doubles; non-finite entries are rejected on both
@@ -207,14 +207,12 @@ def model_to_json(m: DouglasModel) -> dict:
     }
 
 
-# Each document kind: (schema, to_json, from_json).  Model and report
-# documents are written, never read back.
+# Each document kind: (schema, to_json, from_json).  A model is written
+# only inside the lift report, through model_to_json.
 _KINDS = {
     "point": (IO_SCHEMA, point_to_json, point_from_json),
     "triple": (IO_SCHEMA, triple_to_json, triple_from_json),
     "dataset": (MODEL_SCHEMA, dataset_to_json, dataset_from_json),
-    "model": (MODEL_SCHEMA, model_to_json, None),
-    "report": (MODEL_SCHEMA, None, None),
 }
 
 
@@ -241,7 +239,7 @@ def parse_document(obj):
         raise SchemaError(f"unsupported schema {schema!r}{hint}")
     kind = obj.get("kind")
     codec = _KINDS.get(kind) if isinstance(kind, str) else None
-    if codec is None or codec[2] is None:
+    if codec is None:
         raise SchemaError(f"cannot parse documents of kind {kind!r}")
     wanted, _, from_json = codec
     if schema != wanted:

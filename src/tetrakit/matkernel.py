@@ -38,24 +38,24 @@ __all__ = [
 # Seed for the random-combination Schur trick; fixed so joint spectra are
 # reproducible across runs.
 _SCHUR_SEED = 0x7E7AB10C
+# Rank cut of defects, square roots and ranges, relative to the matrix scale.
+_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical contract knobs used across the library.
-
-    eq_tol bounds equality residuals, psd_tol bounds eigenvalue/rank
-    decisions; both must be positive and finite.  No search is sized by a
+    """The one tolerance of the library: eq_tol bounds equality residuals
+    and sets the contraction rule; it must be positive and finite.  Rank
+    decisions use the fixed cut _PSD_TOL, and no search is sized by a
     tolerance: the circle suprema and the certifier's circle grid fix
     their own resolution.
     """
 
     eq_tol: float = 1e-9
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.eq_tol, self.psd_tol)):
-            raise ValueError("eq_tol and psd_tol must be positive and finite")
+        if not 0 < self.eq_tol < math.inf:
+            raise ValueError("eq_tol must be positive and finite")
 
     @property
     def contraction_bound(self) -> float:
@@ -63,12 +63,13 @@ class Tolerances:
         ||X|| <= 1 + eq_tol."""
         return 1.0 + self.eq_tol
 
-    def defect_support(self, w: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def defect_support(w: np.ndarray) -> np.ndarray:
         """The one rank cut of every defect: which eigenvalues w of I - X*X,
         ascending along the last axis, span the range of D_X.  They are those
-        with w > psd_tol (1 + ||X||^2), where ||X||^2 = 1 - w_min is read off
-        the least of them."""
-        return w > self.psd_tol * (2.0 - w[..., :1])
+        with w > _PSD_TOL (1 + ||X||^2), where ||X||^2 = 1 - w_min is read
+        off the least of them."""
+        return w > _PSD_TOL * (2.0 - w[..., :1])
 
 
 DEFAULT_TOL = Tolerances()
@@ -91,7 +92,7 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def check_orthonormal(self, tol: Tolerances = DEFAULT_TOL) -> float:
+    def check_orthonormal(self) -> float:
         """Return the orthonormality residual ||B*B - I||."""
         return _norm_or_zero(self.basis.conj().T @ self.basis - np.eye(self.dim))
 
@@ -265,14 +266,13 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
 
 
 # Kept though no stage calls them: the benchmark tracer binds numerical_radius and solve_sandwich.
-def numerical_radius(m, tol: Tolerances = DEFAULT_TOL) -> float:
+def numerical_radius(m) -> float:
     """Numerical radius sup{|<Mx,x>| : ||x||=1} of a square matrix.
 
     The lower end of the circle-supremum bracket of the top eigenvalue of
     Re(e^{i theta} M): a theta grid raised by eigenvector ascent and refined
     where the polygon bound leaves room.  The value is attained, so it never
-    exceeds the true radius, and it is within a relative 1e-6 of it; tol is
-    accepted for signature compatibility and sizes nothing here.
+    exceeds the true radius, and it is within a relative 1e-6 of it.
     """
     a = as_matrix(m, square=True)
     return max(_circle_sup(0.0, [a])[0], 0.0)
@@ -281,7 +281,7 @@ def numerical_radius(m, tol: Tolerances = DEFAULT_TOL) -> float:
 def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix.
 
-    Eigenvalues in [-psd_tol*scale, 0) are clipped to zero; anything more
+    Eigenvalues in [-_PSD_TOL*scale, 0) are clipped to zero; anything more
     negative raises NotPSDError.  Non-Hermitian input beyond eq_tol raises
     PreconditionError.
     """
@@ -294,8 +294,8 @@ def psd_sqrt(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise PreconditionError(f"matrix is not Hermitian (residual {herm_res:.3e})")
     h = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(h)
-    if w[0] < -tol.psd_tol * scale:
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -psd_tol*scale")
+    if w[0] < -_PSD_TOL * scale:
+        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{_PSD_TOL}*scale")
     w = np.clip(w, 0.0, None)
     root = (v * np.sqrt(w)) @ v.conj().T
     return 0.5 * (root + root.conj().T)
@@ -310,10 +310,10 @@ def commutator(x, y) -> np.ndarray:
     return a @ b - b @ a
 
 
-def orthonormal_range(m, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
+def orthonormal_range(m) -> SubspaceBasis:
     """Orthonormal basis of the column space of m.
 
-    Rank is decided by singular values above psd_tol * sigma_max, so the
+    Rank is decided by singular values above _PSD_TOL * sigma_max, so the
     zero matrix yields the empty basis.
     """
     a = as_matrix(m)
@@ -323,7 +323,7 @@ def orthonormal_range(m, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > tol.psd_tol * s[0]))
+        rank = int(np.sum(s > _PSD_TOL * s[0]))
     return SubspaceBasis(a.shape[0], u[:, :rank])
 
 
@@ -408,8 +408,8 @@ def solve_sandwich(
         raise DimensionError(
             f"rhs shape {rhs.shape} incompatible with ({dl.shape[0]}, {dr.shape[1]})"
         )
-    q_left = orthonormal_range(dl.conj().T, tol)
-    q_right = orthonormal_range(dr, tol)
+    q_left = orthonormal_range(dl.conj().T)
+    q_right = orthonormal_range(dr)
     lf = dl @ q_left.basis
     rf = q_right.basis.conj().T @ dr
     if q_left.dim == 0 or q_right.dim == 0:

@@ -259,17 +259,15 @@ def _residual_part(
     return ResidualTriple(part.a, part.b, part.t, basis, strict, res)
 
 
-def auto_order(
-    t_mat, tol: Tolerances = DEFAULT_TOL, target: float = _ORDER_TAIL_TARGET
-) -> tuple[int, bool]:
-    """Smallest truncation order with tail <= target, capped at 512.
+def auto_order(t_mat, tol: Tolerances = DEFAULT_TOL) -> tuple[int, bool]:
+    """Smallest truncation order with tail <= 1e-10, capped at 512.
 
     Returns (order, capped); the cap is reported, not silently absorbed,
     because every model guarantee scales with the tail.
     """
     t = as_matrix(t_mat, square=True, name="T")
     d_op, d_carrier = defect(t, adjoint=True, tol=tol)
-    return _observability_rows(t, d_op, d_carrier, None, target)[2:]
+    return _observability_rows(t, d_op, d_carrier)[2:]
 
 
 def observability_embedding(
@@ -289,20 +287,16 @@ def observability_embedding(
 
 
 def _observability_rows(
-    t: np.ndarray,
-    d_op: np.ndarray,
-    d_carrier: SubspaceBasis,
-    n_order: Optional[int] = None,
-    target: float = _ORDER_TAIL_TARGET,
+    t: np.ndarray, d_op: np.ndarray, d_carrier: SubspaceBasis, n_order: Optional[int] = None
 ):
     """(rows, tail, order, capped): the blocks R_k = C* D_{T*} T*^k for
     k <= order, C the carrier of D_{T*}, and the tail of that order.
 
     The tail of order k is ||D_{T*} T*^(k+1)|| = ||R_{k+1}||, since
     D_{T*} = C C* D_{T*}.  Without n_order, the order is the first one whose
-    tail meets target: the rows are extended _ORDER_BLOCK at a time and
-    their tails taken in one batched norm (the tail need not be monotone,
-    so nothing is skipped), up to the cap _MAX_ORDER.
+    tail meets _ORDER_TAIL_TARGET: the rows are extended _ORDER_BLOCK at a
+    time and their tails taken in one batched norm (the tail need not be
+    monotone, so nothing is skipped), up to the cap _MAX_ORDER.
     """
     if n_order is not None and n_order < 0:
         raise PreconditionError("truncation order must be nonnegative")
@@ -320,7 +314,7 @@ def _observability_rows(
             # An empty defect has no singular values; its tails are 0.
             tails = np.linalg.svd(np.stack(rows[first + 1:]), compute_uv=False)
             tails = tails.max(axis=1, initial=0.0)
-            hits = np.flatnonzero(tails <= target)
+            hits = np.flatnonzero(tails <= _ORDER_TAIL_TARGET)
             if hits.size:
                 order = first + int(hits[0])
                 return rows[: order + 1], float(tails[hits[0]]), order, False
@@ -784,9 +778,14 @@ def validate_special_data_set(
     """
     if fourier_modes < 0:
         raise PreconditionError(f"fourier_modes must be nonnegative, got {fourier_modes}")
-    special, special_res = is_special_pair(d.g1, d.g2, tol)
-    pencil_ok, pencil_sup = pencil_contractive(d.g1, d.g2, tol)
-    passes_i = special and pencil_ok
+    # (i) needs ||G1||, ||G2|| <= 1: G1* and G2 are circle means of G1* + z G2
+    # and conj(z) (G1* + z G2).  Beyond it pencil_sup is that lower bound.
+    norm_g = max(_nrm(d.g1), _nrm(d.g2))
+    passes_i, special_res, pencil_sup = False, {}, norm_g
+    if norm_g <= tol.contraction_bound:
+        special, special_res = is_special_pair(d.g1, d.g2, tol)
+        pencil_ok, pencil_sup = pencil_contractive(d.g1, d.g2, tol)
+        passes_i = special and pencil_ok
 
     boundary = _boundary_grid(d, fourier_modes)
     m = len(boundary)
@@ -827,7 +826,7 @@ def validate_special_data_set(
         )
         worst = float(np.max(np.linalg.norm(images - q @ (q.conj().T @ images), axis=1)))
 
-    scale = 1.0 + max(_nrm(d.g1), _nrm(d.g2), 1.0)
+    scale = 1.0 + max(norm_g, 1.0)
     passes_ii = worst <= 100.0 * tol.eq_tol * scale
     return {
         "passes_i": passes_i,

@@ -161,8 +161,47 @@ class TestIO:
             doc["schema"] = tio.wrap_document(kind, payload)["schema"]
             assert tio.parse_document(doc)[0] == kind
 
+    @pytest.mark.parametrize("kind", ["model", "report"])
+    def test_written_only_kinds_cannot_be_parsed(self, kind):
+        # A model is written only inside the lift report; neither is read back.
+        doc = {"schema": tio.MODEL_SCHEMA, "kind": kind, "payload": {}}
+        with pytest.raises(SchemaError, match=f"cannot parse documents of kind '{kind}'"):
+            tio.parse_document(doc)
+
 
 class TestCliExitCodes:
+    @pytest.mark.parametrize("command", ["fundops", "lift", "dataset"])
+    def test_norm_of_a_beyond_one_exits_3(self, workdir, capsys, command):
+        # A commuting triple with contractive T but ||A|| = 5 is no E-contraction.
+        path = workdir / "a5.json"
+        a, b, t = 5.0 * np.eye(2), np.diag([0.5, 0.2]), np.diag([0.1, 0.3])
+        write_triple(path, OperatorTriple(a, b, t))
+        out = workdir / "r.json"
+        assert cli.main([command, str(path), "--out", str(out)]) == 3
+        assert "A, B and T must be contractions" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_special_pair_is_a_negative_verdict(self, workdir):
+        ds = gen.gen_scalar_special_dataset(GenConfig(seed=1, dim=1))
+        ds.g1[:] = 1e160
+        path = workdir / "huge.json"
+        tio.dump_document("dataset", tio.dataset_to_json(ds), path)
+        out = workdir / "r.json"
+        assert cli.main(["validate-special", str(path), "--out", str(out)]) == 2
+        assert json.loads(out.read_text())["validate_special"]["passes_i"] is False
+
+    def test_classify_report_keys(self, workdir):
+        path = workdir / "good.json"
+        write_triple(path, gen.gen_normal_e_contraction(GenConfig(seed=1, dim=2)))
+        out = workdir / "r.json"
+        assert cli.main(["classify", str(path), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["provenance"]["tolerances"] == {"eq_tol": 1e-9}
+        assert set(rep["classification"]) == {
+            "commuting", "e_unitary", "e_isometry", "pc_isometry", "pc_unitary",
+            "contraction_certificate", "failed_checks", "residuals",
+        }
+
     def test_membership_origin(self, workdir):
         path = workdir / "p.json"
         write_point(path, Point3(0, 0, 0))
@@ -444,8 +483,8 @@ class TestEveryCommand:
             (["lift", "missing.json"], "No such file"),
             (["coincide", "ds.json"], "coincide requires --other"),
             (["classify", "ds.json"], "expected a triple document, got dataset"),
-            (["classify", "pure.json", "--tol", "-1"], "eq_tol and psd_tol must be positive"),
-            (["classify", "pure.json", "--tol", "0"], "eq_tol and psd_tol must be positive"),
+            (["classify", "pure.json", "--tol", "-1"], "eq_tol must be positive and finite"),
+            (["classify", "pure.json", "--tol", "0"], "eq_tol must be positive and finite"),
             (["coincide", "samples-not-a-list.json", "--other", "ds.json"], "must be a list"),
             (["coincide", "ds.json", "--other", "data-not-a-list.json"], "must be a list"),
             (["validate-special", "pure-flag-a-string.json"], "pure_flag must be true or false"),

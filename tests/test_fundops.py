@@ -84,6 +84,22 @@ class TestFundamentalPair:
         assert abs(pair.x1[0, 0]) <= 1e-12
         assert abs(pair.x2[0, 0]) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [5.0, 1e160])
+    def test_norm_of_a_or_b_beyond_one_rejected(self, scale):
+        # ||A|| <= 1 and ||B|| <= 1 are necessary, and the pipeline stages
+        # read them from the norm table that is_commuting has filled.
+        big, small = scale * np.eye(2), np.diag([0.5, 0.2])
+        for a, b in ((big, small), (small, big)):
+            trip = cl.OperatorTriple(a, b, np.diag([0.1, 0.3]))
+            for call in (
+                lambda: fo.fundamental_pair(trip),
+                lambda: fo.fundamental_pair(trip, adjoint=True),
+                lambda: md.build_lift(trip),
+                lambda: md.extract_data_set(trip, grid=4),
+            ):
+                with pytest.raises(NotAContractionError, match="must be contractions"):
+                    call()
+
     def test_unitary_t_empty_carrier(self):
         trip = gen.gen_strict_e_unitary(GenConfig(seed=4, dim=3))
         pair = fo.fundamental_pair(trip)
@@ -277,6 +293,13 @@ class TestSpecialPair:
     def test_scalars_always_special(self):
         ok, _ = fo.is_special_pair([[0.3 + 0.2j]], [[0.1 - 0.7j]])
         assert ok
+
+    def test_huge_pair_raises_no_overflow_error(self):
+        # (1 + ||G1||)^2 is beyond the float range; the bound is formed as a
+        # product, and the residual products overflow to non-finite entries,
+        # which the norm reports as LinAlgError, a ValueError.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            fo.is_special_pair([[1e160]], [[0.1]])
 
     def test_noncommuting_nilpotents(self):
         g1 = 0.3 * np.array([[0, 1], [0, 0]], dtype=complex)

@@ -453,14 +453,14 @@ class TestTolerances:
     def test_defaults(self):
         tol = mk.Tolerances()
         assert tol.eq_tol == 1e-9
-        assert tol.psd_tol == 1e-10
+        assert mk._PSD_TOL == 1e-10
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"eq_tol": 0.0}, {"psd_tol": -1e-3}, {"eq_tol": math.inf}, {"psd_tol": math.nan}],
+        [{"eq_tol": 0.0}, {"eq_tol": -1e-3}, {"eq_tol": math.inf}, {"eq_tol": math.nan}],
     )
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eq_tol must be positive and finite"):
             mk.Tolerances(**kwargs)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
