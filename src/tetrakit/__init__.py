@@ -7,8 +7,8 @@ fundamental operator pairs, Douglas-type functional models with verified
 lifts, and characteristic data sets with coincidence testing.
 
 ``TETRAKIT_THREADS`` caps BLAS threads; it is applied here, before any
-submodule loads numpy, so it also takes effect for ``python -m tetrakit.cli``
-and is still in place when ``joint_eigenvalues`` first loads scipy.
+submodule loads numpy, so it also takes effect for ``python -m tetrakit.cli``.
+The package needs numpy alone.
 """
 
 import os as _os

@@ -35,9 +35,9 @@ __all__ = [
     "solve_sandwich",
 ]
 
-# Seed for the random-combination Schur trick; fixed so joint spectra are
-# reproducible across runs.
-_SCHUR_SEED = 0x7E7AB10C
+# Seed of the random combination whose eigenvectors give joint spectra;
+# fixed so joint spectra are reproducible across runs.
+_COMBO_SEED = 0x7E7AB10C
 # Rank cut of defects, square roots and ranges, relative to the matrix scale.
 _PSD_TOL = 1e-10
 
@@ -342,13 +342,18 @@ def joint_eigenvalues(
 ) -> list[tuple[complex, ...]]:
     """Joint spectrum of a pairwise-commuting family of square matrices.
 
-    A random linear combination (fixed seed) is Schur-triangularized and all
-    members are conjugated into its Schur basis.  Each member's diagonal
-    entry is averaged over the positions where the combination's
-    eigenvalues agree (within 10 sqrt(n) times the commutator bound), so a
-    derogatory family, whose members that basis need not triangularise,
-    still gives its joint spectrum up to O(eq_tol) perturbation.  Output
-    tuples are sorted lexicographically by (Re, Im) of their coordinates.
+    The joint values are read off the eigenvectors of a random linear
+    combination C (fixed seed), with which every member commutes.  A simple
+    eigenvalue of C has a unit eigenvector v that every member shares, and
+    v* X v is the value of member X there.  Eigenvalues of C that agree
+    within 10 sqrt(n) times the commutator bound form a cluster S of size
+    m; its invariant subspace, the span Q of the m trailing right singular
+    vectors of (C - mu I)^m with mu the cluster's mean, is invariant under
+    every member, and trace(Q* X Q) / m is X's value on it.  So a derogatory
+    family, whose members one eigenbasis need not diagonalise, still gives
+    its joint spectrum up to O(eq_tol) perturbation (Kagstrom-Ruhe, ACM
+    TOMS 6, 1980).  Output tuples are sorted lexicographically by (Re, Im)
+    of their coordinates.
 
     Raises NotCommutingError if any pairwise commutator exceeds
     eq_tol * (1 + max_norm)^2.
@@ -362,30 +367,28 @@ def joint_eigenvalues(
             raise DimensionError("family members differ in size")
     if n == 0:
         return []
-    max_norm = max(_norm_or_zero(a) for a in mats)
-    comm_scale = tol.eq_tol * (1.0 + max_norm) ** 2
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            res = _norm_or_zero(commutator(mats[i], mats[j]))
-            if res > comm_scale:
-                raise NotCommutingError(
-                    f"commutator of members {i},{j} has norm {res:.3e}"
-                )
+    k = len(mats)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    # One batched SVD gives the member norms and then the commutator norms.
+    stack = mats + [mats[i] @ mats[j] - mats[j] @ mats[i] for i, j in pairs]
+    norms = np.linalg.svd(np.array(stack), compute_uv=False)[:, 0]
+    comm_scale = tol.eq_tol * (1.0 + norms[:k].max()) ** 2
+    for (i, j), res in zip(pairs, norms[k:]):
+        if res > comm_scale:
+            raise NotCommutingError(f"commutator of members {i},{j} has norm {res:.3e}")
 
-    rng = np.random.default_rng(_SCHUR_SEED)
-    coeffs = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+    rng = np.random.default_rng(_COMBO_SEED)
+    coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     combo = sum(c * a for c, a in zip(coeffs, mats))
-    import scipy.linalg  # local: scipy loads on the first call, not at start-up
-    tri, z = scipy.linalg.schur(combo, output="complex")
-    # On a repeated eigenvalue of the combination its Schur basis need not
-    # triangularise the members, but their trace over the eigenvalue's
-    # positions is still the multiplicity times the joint eigenvalue.
-    lam = np.diag(tri)
+    lam, vecs = np.linalg.eig(combo)
     same = np.abs(lam[:, None] - lam[None, :]) <= 10.0 * comm_scale * math.sqrt(n)
-    diags = [np.diag(z.conj().T @ a @ z) for a in mats]
-    tuples = [
-        tuple(complex(d[same[i]].mean()) for d in diags) for i in range(n)
-    ]
+    values = np.array([(vecs.conj() * (a @ vecs)).sum(axis=0) for a in mats]).T
+    for cluster in np.unique(same[same.sum(axis=1) > 1], axis=0):
+        m = int(cluster.sum())
+        shift = np.linalg.matrix_power(combo - lam[cluster].mean() * np.eye(n), m)
+        q = np.linalg.svd(shift)[2][-m:].conj().T
+        values[(same == cluster).all(axis=1)] = [np.trace(q.conj().T @ a @ q) / m for a in mats]
+    tuples = [tuple(row) for row in values.tolist()]
     tuples.sort(key=lambda t: [(z.real, z.imag) for z in t])
     return tuples
 

@@ -555,26 +555,30 @@ run("generate", "--class", "SpecialScalarDataSet", "--seed", "7", out="special.j
 """
 
 _SCIPY_USE_PROBE = _CLI_PRELUDE + """
-run("membership", "point.json")
-run("fundops", "pure.json")
-run("lift", "pure.json")
-run("verify", "pure.json")
-run("dataset", "pure.json", "--grid", "8", out="ds.json")
-run("coincide", "ds.json", "--other", "ds.json")
-run("validate-special", "special.json")
-before = "scipy" in sys.modules
-run("classify", "pure.json")
-print(json.dumps([before, "scipy" in sys.modules]))
+loaded = []
+def step(*argv, out="r.json"):
+    run(*argv, out=out)
+    if "scipy" in sys.modules:
+        loaded.append(argv[0])
+step("membership", "point.json")
+step("classify", "pure.json")
+step("fundops", "pure.json")
+step("lift", "pure.json")
+step("verify", "pure.json")
+step("dataset", "pure.json", "--grid", "8", out="ds.json")
+step("coincide", "ds.json", "--other", "ds.json")
+step("validate-special", "special.json")
+print(json.dumps(loaded))
 """
 
 
-def test_only_classify_loads_scipy(tmp_path):
-    # scipy.linalg costs about 0.3 s of start-up; only the certifier's
-    # joint_eigenvalues needs it.
-    assert json.loads(run_fresh(_SCIPY_USE_PROBE, tmp_path)) == [False, True]
+def test_no_command_loads_scipy(tmp_path):
+    # The library needs numpy alone; scipy.linalg would add about 0.2 s to
+    # the start-up of any command that loaded it.
+    assert json.loads(run_fresh(_SCIPY_USE_PROBE, tmp_path)) == []
 
 
-# Records OPENBLAS_NUM_THREADS when the module is first looked up; scipy's
+# Records OPENBLAS_NUM_THREADS when the module is first looked up; numpy's
 # wheels bundle their own OpenBLAS, which reads it only when it loads.
 _IMPORT_PROBE = """
 import os, sys
@@ -595,7 +599,7 @@ class TestThreadCap:
         script = _IMPORT_PROBE.format(module="numpy", then="")
         assert run_fresh(script, tmp_path, TETRAKIT_THREADS="1") == "1"
 
-    def test_cap_set_before_scipy_loads(self, tmp_path):
+    def test_cap_set_before_numpy_loads_on_classify(self, tmp_path):
         then = _CLI_PRELUDE + 'run("classify", "pure.json")'
-        script = _IMPORT_PROBE.format(module="scipy.linalg", then=then)
+        script = _IMPORT_PROBE.format(module="numpy", then=then)
         assert run_fresh(script, tmp_path, TETRAKIT_THREADS="1") == "1"

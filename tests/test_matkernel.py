@@ -396,8 +396,8 @@ class TestJointEigenvalues:
 
     def test_derogatory_family(self):
         # Two 2x2 Jordan blocks at one joint eigenvalue make it 4-fold for
-        # every combination, whose Schur basis then need not triangularise
-        # the members; three simple tuples complete the 7x7 family.
+        # every combination, whose eigenvectors then do not span the
+        # cluster; three simple tuples complete the 7x7 family.
         for seed in range(40):
             rng = np.random.default_rng(seed)
             joint = (0.2, 0.05, 0.1)
@@ -412,6 +412,48 @@ class TestJointEigenvalues:
             expected.sort(key=lambda t: [(complex(z).real, complex(z).imag) for z in t])
             tuples = mk.joint_eigenvalues(family)
             assert np.abs(np.array(tuples) - np.array(expected)).max() <= 1e-12, seed
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.data(), st.integers(0, 2**16))
+    def test_planted_jordan_families(self, n, data, seed):
+        # U (diag + 2x2 Jordan blocks) U*: each slot is a Jordan block or a
+        # simple position, and slots draw their joint value from a pool of
+        # three, so joint values repeat across blocks and simple positions.
+        # Under rounding a block's eigenvalue splits by about
+        # 2 sqrt(|nu| u ||C||) for its nilpotent part nu in the combination
+        # C; moduli up to 0.05 keep that split inside the cluster bound
+        # 10 sqrt(n) eq_tol (1 + max norm)^2 at every n.  Moduli near 0.3
+        # can split beyond it at n = 2 (ROADMAP item 3).
+        blocks = data.draw(st.integers(0, n // 2))
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n - blocks, max_size=n - blocks))
+        rng = np.random.default_rng(seed)
+        pool = rng.uniform(-0.5, 0.5, (3, 3)) + 1j * rng.uniform(-0.5, 0.5, (3, 3))
+        planted = np.array([pool[s] for k, s in enumerate(labels) for _ in range(1 + (k < blocks))])
+        nilpotent = rng.uniform(0.01, 0.05, (blocks, 3)) * np.exp(2j * np.pi * rng.uniform(size=(blocks, 3)))
+        u = haar_unitary(rng, n)
+        family = []
+        for k in range(3):
+            m = np.diag(planted[:, k])
+            m[2 * np.arange(blocks), 2 * np.arange(blocks) + 1] = nilpotent[:, k]
+            family.append(u @ m @ u.conj().T)
+        scale = 1.0 + max(mk.operator_norm(a) for a in family)
+        bound = 1e-12 * scale
+        tuples = np.array(mk.joint_eigenvalues(family))
+        key = lambda t: [(z.real, z.imag) for z in t]
+        assert np.abs(tuples - np.array(sorted(map(tuple, planted), key=key))).max() <= bound
+
+        # Reference: the members' Schur-basis diagonals of the same
+        # combination, averaged over its clusters.
+        import scipy.linalg
+
+        comm_scale = mk.DEFAULT_TOL.eq_tol * scale**2
+        coeffs = [1, 1j] @ np.random.default_rng(mk._COMBO_SEED).standard_normal((2, 3))
+        tri, z = scipy.linalg.schur(sum(c * a for c, a in zip(coeffs, family)), output="complex")
+        lam = np.diag(tri)
+        same = np.abs(lam[:, None] - lam[None, :]) <= 10.0 * comm_scale * math.sqrt(n)
+        diags = np.array([np.diag(z.conj().T @ a @ z) for a in family]).T
+        schur = sorted((tuple(diags[same[i]].mean(axis=0)) for i in range(n)), key=key)
+        assert np.abs(tuples - np.array(schur)).max() <= bound
 
     def test_rejects_noncommuting(self):
         e01 = np.array([[0, 1], [0, 0]], dtype=complex)
