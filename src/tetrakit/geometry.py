@@ -161,8 +161,12 @@ def in_tetrablock(p: Point3, tol: Tolerances = DEFAULT_TOL) -> MembershipVerdict
     they agree up to rounding, and disagreement is flagged as marginal.
     The distinguished boundary is decided once, by _bE_check, and lies in
     the closure and outside the open set; the disk criterion alone calls
-    bE points with |b| = 1 + O(eq_tol) outside.  When the point is in the
-    closure, the norm-minimizing completion is attached as a witness.
+    bE points with |b| = 1 + O(eq_tol) outside.  Off the thin set ab = t,
+    |a| or |b| in [1, 1 + eq_tol] puts the pole of one orientation's Mobius
+    map in the closed disk, and that supremum jumps to +inf; there the
+    closure is decided by min_completion_norm(p) <= 1 + eq_tol.  When the
+    point is in the closure and that norm passes, the norm-minimizing
+    completion is attached as a witness.
     """
     open_ab, closed_ab, marg_ab, sup_ab = _criterion(p, tol)
     open_ba, closed_ba, marg_ba, sup_ba = _criterion(p.swapped(), tol)
@@ -170,9 +174,12 @@ def in_tetrablock(p: Point3, tol: Tolerances = DEFAULT_TOL) -> MembershipVerdict
     bE = _bE_check(p, tol)
     in_open = open_ab and open_ba and not marginal and not bE
     in_closure = bE or (closed_ab and closed_ba)
+    pole = math.inf in (sup_ab, sup_ba) and max(abs(p.a), abs(p.b)) <= tol.contraction_bound
     witness = None
-    if in_closure and min_completion_norm(p) <= 1.0 + tol.eq_tol:
-        witness = completion_witness(p)
+    if in_closure or pole:
+        fits = min_completion_norm(p) <= tol.contraction_bound
+        in_closure = in_closure or fits
+        witness = completion_witness(p) if fits else None
     return MembershipVerdict(
         in_open=in_open,
         in_closure=in_closure,

@@ -128,6 +128,15 @@ def _norm_or_zero(m: np.ndarray) -> float:
     return 0.0 if m.size == 0 else float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def _norms_or_zero(*mats: np.ndarray) -> list[float]:
+    """Operator norms of equal-shape matrices from one batched SVD, with
+    empty blocks as zero (internal use)."""
+    stack = np.array(mats)
+    if stack.size == 0:
+        return [0.0] * len(mats)
+    return np.linalg.svd(stack, compute_uv=False)[:, 0].tolist()
+
+
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus of a square matrix (0 for the empty matrix)."""
     a = as_matrix(m, square=True)
@@ -144,22 +153,37 @@ _ASCENT_CAP = 500
 _CIRCLE_GAP = 1e-6
 _CELL_CAP = 4096
 _CIRCLE_LEVELS = 24
+# Phase weights of the pencil whose eigenvectors are the closed form's
+# basis: a fixed point off the torus (fixed seed), so that its pencil
+# separates generic joint values.
+_BASIS_MIX = np.random.default_rng(_COMBO_SEED).standard_normal((2, 2)) @ np.array([1.0, 1.0j])
 
 
 def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     """Bracket (lower, upper) of the sup over theta in T^k, k in {1, 2}, of
     f(theta) = lambda_max(fixed + sum_j Re(e^{i theta_j} M_j)), Re(X) = (X + X*)/2.
 
-    For 1x1 matrices f = fixed + sum_j Re(e^{i theta_j} m_j) peaks at
-    theta_j = -arg m_j, so the sup is fixed + sum_j |m_j|; the upper end is
-    the next float above it.  Otherwise cells centred on a grid of N points
-    per phase (N = 16 at first) cover the torus.  lower is attained: the
-    best grid value, raised by eigenvector ascent (theta_j = -arg x* M_j x,
-    x the top eigenvector) from the best 4 first-grid points and from any
-    later grid point that beats it; a start is retired once a step gains at
-    most 1e-15 max(1, value).  With fixed = 0 the pencil at -p is the
-    negated pencil at p, so one eigvalsh of half the first grid gives the
-    whole grid.  f is convex in p = e^{i theta}, and a cell's arc lies in
+    A jointly normal family, fixed = U diag(f) U* and M_j = U diag(d_j) U*,
+    has the closed form sup f = max_i (f_i + sum_j |d_ji|), taken first.
+    If every matrix is diagonal it is evaluated as it stands and the upper
+    end is the next float above it (so a 1x1 input calls no eigensolver).
+    Otherwise U is the eigenbasis of the pencil at the fixed point
+    _BASIS_MIX off the torus, and the family is rotated into it; with S the
+    closed form of the rotated diagonals, f <= S + eps, where eps sums the
+    norms of the rotated off-diagonal parts, ||U*U - I|| times the summed
+    Frobenius norms (Ostrowski's theorem) and a first-order rounding bound
+    of the rotation.  lower is the value at theta_j = -arg d_ji of the best
+    i, one eigvalsh, and upper = S + eps.  That bracket is returned when it
+    meets the grid's stopping rule below; a family whose eps alone is wider
+    than the rule allows stops before the eigvalsh.
+
+    Else cells centred on a grid of N points per phase (N = 16 at first)
+    cover the torus.  lower is attained: the best grid value, raised by
+    eigenvector ascent (theta_j = -arg x* M_j x, x the top eigenvector) from
+    the best 4 first-grid points and from any later grid point that beats
+    it; a start is retired once a step gains at most 1e-15 max(1, value).
+    With fixed = 0 the pencil at -p is the negated pencil at p, so one
+    eigvalsh of half the first grid gives the whole grid.  f is convex in p = e^{i theta}, and a cell's arc lies in
     the triangle of a vertex of the circumscribed N-gon and its edge
     midpoints, so means of vertex values bound f on the cell (with
     fixed = 0 a vertex value is sec(pi/N) times a grid value).  Cells whose
@@ -174,10 +198,6 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     k, n = mats.shape[0], mats.shape[-1]
     if n == 0:
         return 0.0, 0.0
-    if n == 1:
-        # Scalar abs: numpy's vectorised complex abs can be off by over an ulp.
-        top = float(np.asarray(fixed).real.item()) + sum(abs(complex(m)) for m in mats.ravel())
-        return top, float(np.nextafter(top, math.inf))
     homogeneous = not np.any(fixed)
     flat = mats.reshape(k, n * n)
 
@@ -185,6 +205,20 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
         """fixed + Re(sum_j p_j M_j) for every row p of a (P, k) array."""
         s = (p @ flat).reshape(-1, n, n)
         return fixed + 0.5 * (s + s.conj().transpose(0, 2, 1))
+
+    family = mats if homogeneous else np.concatenate([np.broadcast_to(fixed, (1, n, n)), mats])
+    diag = np.diagonal(family, axis1=1, axis2=2)
+    if np.count_nonzero(family) == np.count_nonzero(diag):
+        # Scalar abs: numpy's vectorised complex abs can be off by over an ulp.
+        rows = diag.tolist()
+        base = [0.0] * n if homogeneous else [f.real for f in rows.pop(0)]
+        top = max(f + sum(abs(d) for d in ds) for f, *ds in zip(base, *rows))
+        return top, float(np.nextafter(top, math.inf))
+    closed = _rotated_bracket(family, k, pencils)
+    if closed is not None:
+        lower, upper = closed
+        if upper - lower <= _CIRCLE_GAP * abs(lower) and not lower <= bound < upper:
+            return closed
 
     def spectra(p):
         """Eigenvalues of each pencil, 512 pencils at a time."""
@@ -265,14 +299,42 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     return lower, max(upper, lower)
 
 
+def _rotated_bracket(family, k, pencils) -> tuple[float, float] | None:
+    """The closed-form bracket of _circle_sup for ``family``, the k phase
+    matrices after fixed unless fixed is zero; None when eps alone is wider
+    than _CIRCLE_GAP relative to the closed form."""
+    n = family.shape[-1]
+    u = np.linalg.eigh(pencils(_BASIS_MIX[None, :k]))[1][0]
+    rotated = u.conj().T @ family @ u
+    diag = np.diagonal(rotated, axis1=1, axis2=2)
+    off = rotated - diag[..., None] * np.eye(n)
+    gram = u.conj().T @ u - np.eye(n)
+    *off_norms, gram_norm = _norms_or_zero(*off, gram)
+    scale = float(np.linalg.norm(family, axis=(1, 2)).sum())
+    # Rotating and summing in floating point moves each matrix by at most
+    # 2 gamma_n ||U||_F^2 ||X||_F to first order, with ||U||_F^2 about n.
+    eps = sum(off_norms) + (gram_norm + 2.0 * n * n * np.finfo(float).eps) * scale
+    heights = np.abs(diag[-k:]).sum(axis=0)
+    if len(family) > k:
+        heights += diag[0].real
+    i = int(np.argmax(heights))
+    top = float(heights[i])
+    if eps > _CIRCLE_GAP * abs(top):
+        return None
+    peak = np.exp(-1j * np.angle(diag[-k:, i]))
+    lower = float(np.linalg.eigvalsh(pencils(peak[None]))[0, -1])
+    return lower, max(top + eps, lower)
+
+
 # Kept though no stage calls them: the benchmark tracer binds numerical_radius and solve_sandwich.
 def numerical_radius(m) -> float:
     """Numerical radius sup{|<Mx,x>| : ||x||=1} of a square matrix.
 
     The lower end of the circle-supremum bracket of the top eigenvalue of
-    Re(e^{i theta} M): a theta grid raised by eigenvector ascent and refined
-    where the polygon bound leaves room.  The value is attained, so it never
-    exceeds the true radius, and it is within a relative 1e-6 of it.
+    Re(e^{i theta} M): max_i |m_i| over the eigenvalues of a normal M, else
+    a theta grid raised by eigenvector ascent and refined where the polygon
+    bound leaves room.  The value is attained, so it never exceeds the true
+    radius, and it is within a relative 1e-6 of it.
     """
     a = as_matrix(m, square=True)
     return max(_circle_sup(0.0, [a])[0], 0.0)
@@ -371,8 +433,8 @@ def joint_eigenvalues(
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     # One batched SVD gives the member norms and then the commutator norms.
     stack = mats + [mats[i] @ mats[j] - mats[j] @ mats[i] for i, j in pairs]
-    norms = np.linalg.svd(np.array(stack), compute_uv=False)[:, 0]
-    comm_scale = tol.eq_tol * (1.0 + norms[:k].max()) ** 2
+    norms = _norms_or_zero(*stack)
+    comm_scale = tol.eq_tol * (1.0 + max(norms[:k])) ** 2
     for (i, j), res in zip(pairs, norms[k:]):
         if res > comm_scale:
             raise NotCommutingError(f"commutator of members {i},{j} has norm {res:.3e}")

@@ -68,18 +68,19 @@ def edge_triples(draw):
 def norm_edge_triples(draw):
     """(triple, delta): a Haar-conjugated normal triple whose A, or B, has one
     eigenvalue of modulus 1 + delta, and whose T has norm at most 0.5, so no
-    unitary part.  That joint eigenvalue is ((1 + delta) u, 0, 0) with
-    |u| = 1, or its swap; the others are as in tetrablock_pair.  (A point
-    of the closed tetrablock with |a| = 1 has b = conj(a) t and ab = t, and
-    moved off that thin set the disk criterion jumps to +inf; with t = 0
-    the scaled point stays on it.)"""
+    unitary part.  That joint eigenvalue is ((1 + delta) u, conj(u) t, t)
+    with |u| = 1, or its swap; the others are as in tetrablock_pair.  (A
+    point of the closed tetrablock with |a| = 1 has b = conj(a) t and
+    ab = t; for t != 0 the scaled point is delta |t| off that thin set,
+    where the swapped disk criterion is +inf.)"""
     n = draw(st.integers(1, 3))
     delta = draw(DELTAS)
-    radii = [0.0] + draw(st.lists(st.floats(0.0, 0.5), min_size=n - 1, max_size=n - 1))
+    radii = draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n))
     angles = draw(st.lists(PHASES, min_size=n, max_size=n))
     t = np.array(radii) * np.exp(2j * np.pi * np.array(angles))
     a, b = tetrablock_pair(draw, t)
-    a[0], b[0] = (1.0 + delta) * np.exp(2j * np.pi * draw(PHASES)), 0.0
+    u = np.exp(2j * np.pi * draw(PHASES))
+    a[0], b[0] = (1.0 + delta) * u, np.conj(u) * t[0]
     if draw(st.booleans()):
         a, b = b, a
     return conjugated(draw, a, b, t), delta

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ class TestInTetrablock:
     def test_boundary_marginal_flag(self):
         v = geo.in_tetrablock(geo.Point3(1, 1, 1))
         assert v.boundary_marginal and not v.in_open and v.in_closure
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_pole_within_eq_tol_off_the_thin_set(self, swap):
+        # (1 + delta, 0.5, 0.5) is delta from (1, 0.5, 0.5), on the thin set
+        # ab = t of the closed tetrablock.  One orientation's sup is +inf, so
+        # the minimal completion norm, about 1 + delta, decides the closure.
+        for delta, inside in ((1e-11, True), (1e-6, False)):
+            p = geo.Point3(1 + delta, 0.5, 0.5)
+            v = geo.in_tetrablock(p.swapped() if swap else p)
+            assert math.inf in (v.sup_psi_ab, v.sup_psi_ba)
+            assert v.in_closure is inside and not v.in_open
+            assert (v.witness is not None) is inside
 
     def test_min_completion_oracle_agrees(self):
         # Independent membership oracle: minimal completion norm < 1.

@@ -135,6 +135,18 @@ def random_mats(seed, n, k, scale=1.0):
     return [rand_matrix(rng, n, scale=scale) for _ in range(k)]
 
 
+def jointly_diagonal(rng, n, k, distinct=None, scale=1.0):
+    """(U, [U diag(d_j) U*], (d_j)): k matrices diagonal in one Haar basis
+    U, with at most ``distinct`` joint values (d_1i, ..., d_ki), each entry
+    in the disk of radius ``scale``; the first of them is taken, the others
+    drawn with repetition."""
+    u = haar_unitary(rng, n)
+    values = np.concatenate([[0], rng.integers(0, min(distinct or n, n), n - 1)])
+    d = scale * rng.uniform(0, 1, (k, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, (k, n)))
+    d = d[:, values]
+    return u, [u @ np.diag(dj) @ u.conj().T for dj in d], d
+
+
 class TestCircleSup:
     def test_one_phase_against_dense_oracle(self):
         # fixed = 0 takes the homogeneous polygon bound, a Hermitian fixed
@@ -183,9 +195,11 @@ class TestCircleSup:
         assert mk._circle_sup(0.0, [np.array([[3 - 4j]])]) == (5.0, np.nextafter(5.0, 6.0))
 
     def test_pencil_counts(self, monkeypatch):
-        # With fixed = 0 the pencil at -p is the negated pencil at p, so the
-        # first 16 x 16 grid takes one eigvalsh of 128 pencils, not 256; the
-        # 1x1 closed form factors nothing.
+        # A non-normal family pays one basis eigh for the closed form, then
+        # the grid: with fixed = 0 the pencil at -p is the negated pencil at
+        # p, so the first 16 x 16 grid takes one eigvalsh of 128 pencils, not
+        # 256.  A normal family takes one eigh and one eigvalsh in all, and
+        # the 1x1 closed form factors nothing.
         batches = []
         for name in ("eigvalsh", "eigh"):
             def counted(a, _f=getattr(np.linalg, name), _name=name):
@@ -193,14 +207,57 @@ class TestCircleSup:
                 return _f(a)
             monkeypatch.setattr(np.linalg, name, counted)
         mk._circle_sup(0.0, random_mats(67, 3, 2))
-        assert batches[0] == ("eigvalsh", 128)
+        assert batches[:2] == [("eigh", 1), ("eigvalsh", 128)]
         batches.clear()
         mk._circle_sup(0.0, random_mats(68, 3, 1))
-        assert batches[0] == ("eigvalsh", 8)
+        assert batches[:2] == [("eigh", 1), ("eigvalsh", 8)]
+        batches.clear()
+        mk._circle_sup(0.0, jointly_diagonal(np.random.default_rng(71), 5, 2)[1])
+        assert batches == [("eigh", 1), ("eigvalsh", 1)]
         batches.clear()
         mk._circle_sup(0.0, random_mats(69, 1, 2))
         mk._circle_sup(np.eye(1), random_mats(70, 1, 1))
         assert batches == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 8), st.integers(1, 2), st.integers(1, 8), st.booleans(),
+        st.floats(1e-3, 1e3), st.integers(0, 2**16),
+    )
+    def test_jointly_normal_closed_form(self, n, k, distinct, fixed_part, scale, seed):
+        # A Haar-conjugated jointly diagonal family, fixed = 0 or Hermitian
+        # in the same basis, with at most ``distinct`` joint values (so some
+        # repeat): the sup is max_i (f_i + sum_j |d_ji|), and the closed form
+        # brackets it within a relative 1e-12 (and within the rounding of
+        # forming U diag(d_j) U*, a relative 1e-14).
+        rng = np.random.default_rng(seed)
+        u, mats, d = jointly_diagonal(rng, n, k, distinct, scale)
+        # fixed takes one value per joint value of the M_j, so its joint
+        # values repeat with theirs.
+        joint = np.unique(d, axis=1, return_inverse=True)[1]
+        f = fixed_part * scale * rng.uniform(0.0, 1.0, n)[joint]
+        fixed = u @ np.diag(f) @ u.conj().T if fixed_part else 0.0
+        exact = max(f + np.abs(d).sum(axis=0))
+        lower, upper = mk._circle_sup(fixed, mats)
+        assert lower <= exact * (1 + 1e-14) and exact * (1 - 1e-14) <= upper
+        assert upper - lower <= 1e-12 * exact
+
+    @pytest.mark.parametrize("size", [1e-10, 1e-8, 1e-6, 1e-4])
+    def test_near_normal_contains_oracle(self, size):
+        # A jointly normal pair moved by a perturbation of norm about
+        # ``size``: the bracket holds the dense grid's max, and for fixed = 0
+        # the grid's polygon bound sec(pi/N) times that max caps the sup,
+        # so it caps lower too.
+        rng = np.random.default_rng(72)
+        for trial in range(8):
+            n, k = 2 + trial % 4, 1 + trial % 2
+            points = 2048 if k == 1 else 256
+            mats = [m + size * rand_matrix(rng, n) / (2 * n) for m in jointly_diagonal(rng, n, k)[1]]
+            oracle = circle_oracle(0.0, mats, points)
+            lower, upper = mk._circle_sup(0.0, mats)
+            assert oracle <= upper
+            assert lower <= oracle / np.cos(np.pi / points)
+            assert upper - lower <= 1e-6 * lower
 
     def test_bracket_width(self):
         # Refinement stops once no cell's bound exceeds lower by more than a
