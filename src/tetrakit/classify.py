@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -243,36 +242,36 @@ _MOBIUS_POINTS = np.concatenate([
 
 
 def _mobius_form_maxima(triple: OperatorTriple) -> tuple[float, float]:
-    """Condition (c)'s (mobius_form_max, mobius_form_upper): the largest top
-    eigenvalue of the forms H_r(z) = F_r + z K_r + conj(z) K_r* on the grid
-    of _MOBIUS_POINTS, and the larger of that and their largest top
-    eigenvalue on its vertices, K_r = r (second - first* T).
-
-    Both are the maxima of the dense grid, bit for bit, but only pencils that
-    can still hold one are evaluated.  By Weyl's inequality
-    |lmax H_r(z) - lmax H_r(z')| <= 2 |z - z'| ||K_r||, so a point whose
-    bound from an evaluated or bounded neighbour stays below the best value
-    found so far, by more than a slack far above eigvalsh's rounding, is
-    skipped.  The grid is evaluated at every 8th point, then at the
-    midpoints that the bound keeps, with the spacing halved until it is 1;
-    a vertex lies tan(pi/N) from its two grid neighbours.  An empty
-    triple's forms are empty and report 0, as in _circle_sup.
+    """Condition (c)'s bracket (mobius_form_max, mobius_form_upper) of the top
+    eigenvalues of the forms H_r(z) = F_r + z K_r + conj(z) K_r*, K_r =
+    r (second - first* T), on _MOBIUS_POINTS: a grid and the vertices of the
+    N-gon circumscribed about it.  By Weyl's inequality, |lmax H_r(z) -
+    lmax H_r(z')| <= 2 |z - z'| ||K_r||, plus eigvalsh's rounding from a
+    computed neighbour.  A pencil is evaluated only when that bound can raise
+    the best value so far by more than a slack far above the rounding; other
+    points keep their bounds.  Every 8th grid point is evaluated, then the
+    midpoints the rule keeps, halving the spacing to 1; a vertex lies
+    tan(pi/N) from its grid neighbours, and the two largest bounds go first.
+    So mobius_form_max is an attained grid value at most the slack below the
+    dense grid maximum, and mobius_form_upper, the largest vertex value or
+    bound left, is at or above every dense value.  Empty forms report 0.
     """
     n = triple.dim
     if not n:
         return 0.0, 0.0
-    eye = np.eye(n)
     t, tt = triple.t, triple.t.conj().T @ triple.t
-    fixed, mats = [], []
-    for radius, (first, second) in itertools.product(
-        _MOBIUS_RADII, ((triple.a, triple.b), (triple.b, triple.a))
-    ):
-        fixed.append(first.conj().T @ first - eye + radius**2 * (tt - second.conj().T @ second))
-        mats.append(radius * (second - first.conj().T @ t))
-    fixed, mats = np.array(fixed), np.array(mats)
+    # A*A - I, T*T - B*B and B - A*T per orientation, then scaled per radius.
+    terms = np.array([
+        (f.conj().T @ f - np.eye(n), tt - s.conj().T @ s, s - f.conj().T @ t)
+        for f, s in ((triple.a, triple.b), (triple.b, triple.a))
+    ])
+    radii = np.array(_MOBIUS_RADII)[:, None, None, None]
+    fixed = (terms[:, 0] + radii**2 * terms[:, 1]).reshape(-1, n, n)
+    mats = (radii * terms[:, 2]).reshape(-1, n, n)
     norms = np.linalg.svd(np.concatenate([fixed, mats]), compute_uv=False)[:, 0]
     f_norms, k_norms = np.split(norms, 2)
-    slack = 1e-12 * (1.0 + f_norms.max() + 2.0 * k_norms.max())
+    scale = 1.0 + f_norms.max() + 2.0 * k_norms.max()
+    slack, rounding = 1e-12 * scale, 8.0 * n * np.finfo(float).eps * scale
     weyl = 2.0 * k_norms[:, None]
 
     def tops(rows, cols):
@@ -293,40 +292,38 @@ def _mobius_form_maxima(triple: OperatorTriple) -> tuple[float, float]:
         step //= 2
         mids = np.arange(step, grid, 2 * step)
         bound = np.minimum(bounds[:, mids - step], bounds[:, (mids + step) % grid])
-        bound += weyl * (2.0 * np.sin(np.pi * step / grid))
-        rows, cols = np.nonzero(bound >= best - slack)
+        bound += weyl * (2.0 * np.sin(np.pi * step / grid)) + rounding
+        rows, cols = np.nonzero(bound > best + slack)
         if rows.size:
             bound[rows, cols] = values = tops(rows, mids[cols])
             best = max(best, values.max())
         bounds[:, mids] = bound
-    lower = float(best)
 
-    # Vertex j lies between grid points j and j + 1.  The two with the
-    # largest bounds are evaluated first, then every vertex that can beat them.
+    # Vertex j lies between grid points j and j + 1.
     vertex_bounds = np.minimum(bounds, np.roll(bounds, -1, axis=1))
-    vertex_bounds += weyl * np.tan(np.pi / grid)
+    vertex_bounds += weyl * np.tan(np.pi / grid) + rounding
     rows, cols = np.divmod(np.argpartition(vertex_bounds, -2, axis=None)[-2:], grid)
-    top = tops(rows, grid + cols).max()
-    vertex_bounds[rows, cols] = -np.inf
-    rows, cols = np.nonzero(vertex_bounds >= top - slack)
+    vertex_bounds[rows, cols] = values = tops(rows, grid + cols)
+    rows, cols = np.nonzero(vertex_bounds > values.max() + slack)
     if rows.size:
-        top = max(top, tops(rows, grid + cols).max())
-    # Where K_r is zero up to rounding the two maxima agree only to
-    # rounding; the upper one is kept at or above the lower one.
-    return lower, max(float(top), lower)
+        vertex_bounds[rows, cols] = tops(rows, grid + cols)
+    return float(best), float(max(vertex_bounds.max(), bounds.max()))
 
 
-# Exponents (i, j, k) of the monomials a^i b^j t^k of total degree <= 3.
-_EXPONENTS = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+# The exponents of a, b and t in the monomials a^i b^j t^k of total degree <= 3.
+_EXP_A, _EXP_B, _EXP_T = np.array([e for e in np.ndindex(4, 4, 4) if sum(e) <= 3]).T
 _BOUNDARY_SAMPLES = 2048  # points of the distinguished boundary bE
 
 
 def _poly_sups(points, coeffs) -> np.ndarray:
     """Per coefficient row, the largest |p(a, b, t)| over the points (a, b, t)."""
-    pts = np.array(points, dtype=complex).reshape(-1, 3)
-    vandermonde = np.stack(
-        [pts[:, 0] ** i * pts[:, 1] ** j * pts[:, 2] ** k for i, j, k in _EXPONENTS], axis=1
-    )
+    powers = np.array(points, dtype=complex).reshape(-1, 3, 1) ** np.arange(4)
+    # Built in place, and the power table is freed before the product with
+    # coeffs, which keeps the peak memory of the 2048-point boundary call low.
+    vandermonde = powers[:, 0, _EXP_A]
+    vandermonde *= powers[:, 1, _EXP_B]
+    vandermonde *= powers[:, 2, _EXP_T]
+    del powers
     return np.max(np.abs(vandermonde @ coeffs.T), axis=0, initial=0.0)
 
 
@@ -335,7 +332,7 @@ def _test_polynomials(count: int, seed: int):
     """Condition (e)'s coefficients, drawn as each polynomial's real then
     imaginary parts in turn, and their sups over the sampled bE.  Neither
     depends on the triple, so each setting is computed once."""
-    draws = np.random.default_rng(seed).standard_normal((count, 2, len(_EXPONENTS)))
+    draws = np.random.default_rng(seed).standard_normal((count, 2, len(_EXP_A)))
     coeffs = draws[:, 0] + 1j * draws[:, 1]
     sups = _poly_sups(geometry._sample_bE_array(_BOUNDARY_SAMPLES, seed + 1), coeffs)
     coeffs.flags.writeable = sups.flags.writeable = False
@@ -359,13 +356,13 @@ def certify_e_contraction(
           N*N - P*P <= 0, N = A - zT, P = I - zB, whose top eigenvalue is
           that of F_r + Re(e^{i theta} M_r), F_r = A*A - I + r^2(T*T - B*B),
           M_r = 2r(B - A*T); it needs no inverse, so it is defined where
-          I - zB is singular.  It is convex in e^{i theta}: its maximum on
-          a fixed 128-point grid (mobius_form_max) is attained, and its
-          maximum on the vertices of the circumscribed 128-gon
-          (mobius_form_upper) bounds it from above.  Both are the maxima
-          of the dense grid and vertex set, found by evaluating only the
-          pencils whose Weyl bound reaches the best value found so far.
-          The map fails when mobius_form_max exceeds (2d + d^2)
+          I - zB is singular.  It is convex in e^{i theta}, so its maximum
+          on the vertices of the 128-gon circumscribed about a fixed
+          128-point grid bounds it from above.  Only the pencils whose Weyl
+          bound can raise the best value are evaluated: mobius_form_max is
+          an attained grid value within a rounding-scale slack of the grid
+          maximum, and mobius_form_upper is at or above every grid and
+          vertex value.  The map fails when mobius_form_max exceeds (2d + d^2)
           scale_norm()^2, d = 100 eq_tol, the image of ||N P^{-1}|| <= 1 + d;
       (d) every joint eigenvalue tuple lies in the closed tetrablock, tested
           at eq_tol scale_norm(), the scale of the class tests;
@@ -416,13 +413,12 @@ def certify_e_contraction(
         if tuples:
             coeffs, boundary_sups = _test_polynomials(mc_samples, seed)
             sups = np.maximum(boundary_sups, _poly_sups(in_closure, coeffs))
-            powers = [
-                [np.linalg.matrix_power(m, p) for p in range(4)]
-                for m in (triple.a, triple.b, triple.t)
-            ]
-            monomials = np.stack(
-                [powers[0][i] @ powers[1][j] @ powers[2][k] for i, j, k in _EXPONENTS]
-            )
+            # powers[m, p] is the p-th power of A, B or T.
+            powers = np.empty((3, 4, triple.dim, triple.dim), dtype=complex)
+            powers[:, 0], powers[:, 1] = np.eye(triple.dim), (triple.a, triple.b, triple.t)
+            for p in (2, 3):
+                powers[:, p] = powers[:, p - 1] @ powers[:, 1]
+            monomials = powers[0, _EXP_A] @ powers[1, _EXP_B] @ powers[2, _EXP_T]
             ops = np.tensordot(coeffs, monomials, axes=1)
             op_norms = np.linalg.svd(ops, compute_uv=False)[:, 0]
             mass = np.sum(np.abs(coeffs), axis=1)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classify import (
+    _NORMS,
     DecompositionResult,
     OperatorTriple,
     QLimit,
@@ -33,6 +34,7 @@ from .errors import (
     DimensionError,
     InconsistentInputError,
     InternalConsistencyError,
+    NotAContractionError,
     PoleError,
     PreconditionError,
 )
@@ -468,6 +470,8 @@ def extract_data_set(
         raise PreconditionError("grid must be positive")
     if boundary is not None and boundary < 0:
         raise PreconditionError(f"boundary must be nonnegative, got {boundary}")
+    if not triple._holds(_NORMS, tol):
+        raise NotAContractionError(f"A, B and T must be contractions: {triple._norms(*_NORMS)}")
     boundary = 2 * grid if boundary is None else boundary
     dec = canonical_decomposition(triple, tol)
     rt = _residual_part(triple, dec, tol)

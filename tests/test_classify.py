@@ -255,7 +255,7 @@ def normal_triple(entries, seed):
 class TestBatchedCertifier:
     def test_generator_classes(self):
         for tag in ClassTag:
-            for n in range(1, 6):
+            for n in (1, 2, 3, 4, 5, 8, 12):
                 if tag is ClassTag.SPECIAL_SCALAR_DATASET:
                     _, trip = gen.gen_scalar_special_model(GenConfig(seed=n, dim=1))
                 else:
@@ -320,20 +320,30 @@ class TestBatchedCertifier:
             assert 0.0 <= res["mobius_form_upper"] - res["mobius_form_max"] <= 1e-12, seed
 
 
-def dense_mobius_maxima(trip):
-    """Condition (c)'s two maxima from the top eigenvalue of every one of
-    the 6 x 256 pencils, as the certifier computed them before it skipped
-    pencils by their Weyl bound."""
+def dense_mobius_tops(trip):
+    """The top eigenvalue of every one of condition (c)'s 6 x 256 pencils, as
+    the certifier computed them before it skipped pencils by their Weyl
+    bound, and the margin by which its lower end may fall short of their
+    grid maximum: 1e-12 (1 + max ||F_r|| + 2 max ||K_r||)."""
     n = trip.dim
     eye = np.eye(n)
-    rows = []
+    rows, norms = [], [0.0, 0.0]
     t, tt = trip.t, trip.t.conj().T @ trip.t
     pairs = ((trip.a, trip.b), (trip.b, trip.a)) if n else ()
     for radius, (first, second) in itertools.product(cl._MOBIUS_RADII, pairs):
         fixed = first.conj().T @ first - eye + radius**2 * (tt - second.conj().T @ second)
-        s = cl._MOBIUS_POINTS[:, None, None] * (radius * (second - first.conj().T @ t))
+        slope = radius * (second - first.conj().T @ t)
+        s = cl._MOBIUS_POINTS[:, None, None] * slope
         rows.append(np.linalg.eigvalsh(fixed + s + s.conj().swapaxes(1, 2))[:, -1])
+        norms = np.maximum(norms, [operator_norm(fixed), operator_norm(slope)])
     tops = np.array(rows) if rows else np.zeros((1, 2 * cl._MOBIUS_GRID))
+    return tops, 1e-12 * (1.0 + norms[0] + 2.0 * norms[1])
+
+
+def dense_mobius_maxima(trip):
+    """The grid maximum of dense_mobius_tops, and the larger of it and the
+    vertex maximum."""
+    tops, _ = dense_mobius_tops(trip)
     lower = float(np.max(tops[:, : cl._MOBIUS_GRID]))
     return lower, max(float(np.max(tops[:, cl._MOBIUS_GRID:])), lower)
 
@@ -373,12 +383,20 @@ def mobius_triples(draw):
 class TestMobiusMaxima:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(mobius_triples())
-    def test_equal_to_the_dense_grid(self, trip):
+    def test_bracket_of_the_dense_grid(self, trip):
         # Read from the helper: the certifier skips condition (c) on the
-        # triples of this strategy that fail the norm bound.
-        assert cl._mobius_form_maxima(trip) == dense_mobius_maxima(trip)
+        # triples of this strategy that fail the norm bound.  The lower end
+        # is an attained grid value within the margin of the grid maximum;
+        # the upper end is at or above every dense grid and vertex value.
+        tops, margin = dense_mobius_tops(trip)
+        dense_lower, dense_upper = dense_mobius_maxima(trip)
+        lower, upper = cl._mobius_form_maxima(trip)
+        assert lower in tops[:, : cl._MOBIUS_GRID]
+        assert dense_lower - margin <= lower <= dense_lower
+        assert upper >= dense_upper
 
-    def test_pencil_counts(self, monkeypatch):
+    @staticmethod
+    def pencil_counts(monkeypatch, tags):
         counts = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -387,13 +405,36 @@ class TestMobiusMaxima:
             return eigvalsh(pencils)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        for tag in (ClassTag.PURE_E_CONTRACTION, ClassTag.NORMAL_E_CONTRACTION):
+        for tag in tags:
             for dim in range(2, 6):
                 for seed in range(40):
                     counts.append(0)
                     cl._mobius_form_maxima(gen.generate(GenConfig(seed, dim, tag)))
+        return counts
+
+    def test_pencil_counts(self, monkeypatch):
+        tags = (ClassTag.PURE_E_CONTRACTION, ClassTag.NORMAL_E_CONTRACTION)
+        counts = self.pencil_counts(monkeypatch, tags)
         # A quarter of the 6 x 256 pencils of the dense grid and vertices.
         assert max(counts) <= 0.25 * 6 * 2 * cl._MOBIUS_GRID, max(counts)
+
+    def test_flat_forms_need_only_the_first_pencils(self, monkeypatch):
+        # K_r = 0 up to rounding, so no Weyl bound can raise the best value:
+        # only every 8th grid point of each row and the two first vertices.
+        tags = (ClassTag.STRICT_E_UNITARY, ClassTag.PC_UNITARY)
+        counts = self.pencil_counts(monkeypatch, tags)
+        assert max(counts) <= 6 * cl._MOBIUS_GRID // 8 + 2, max(counts)
+
+    def test_bounds_cover_the_rounding_of_flat_forms(self):
+        # The dense values of a flat form differ only by eigvalsh's rounding,
+        # so only the rounding term keeps the bounds left at or above them.
+        for tag in (ClassTag.STRICT_E_UNITARY, ClassTag.PC_UNITARY):
+            for dim in range(2, 6):
+                for seed in range(40):
+                    trip = gen.generate(GenConfig(seed, dim, tag))
+                    lower, upper = cl._mobius_form_maxima(trip)
+                    dense_lower, dense_upper = dense_mobius_maxima(trip)
+                    assert lower <= dense_lower and upper >= dense_upper, (tag, dim, seed)
 
     def test_one_by_one_forms_need_no_eigensolver(self, monkeypatch):
         def no_solver(*args, **kwargs):

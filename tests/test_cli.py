@@ -181,6 +181,17 @@ class TestCliExitCodes:
         assert "A, B and T must be contractions" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pc_unitary_beyond_one_has_no_data_set(self, workdir, capsys):
+        # A unitary T leaves no completely non-unitary part, but ||S|| > 1
+        # still fails the contraction rule on the whole triple.
+        trip = gen.gen_pc_unitary(GenConfig(seed=1, dim=3))
+        assert np.linalg.norm(trip.b, 2) > 1.0 + DEFAULT_TOL.eq_tol
+        path, out = workdir / "pc.json", workdir / "r.json"
+        write_triple(path, trip)
+        assert cli.main(["dataset", str(path), "--out", str(out)]) == 3
+        assert "A, B and T must be contractions" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_huge_special_pair_is_a_negative_verdict(self, workdir):
         ds = gen.gen_scalar_special_dataset(GenConfig(seed=1, dim=1))
         ds.g1[:] = 1e160

@@ -656,10 +656,13 @@ class TestStackedTheta:
                 try:
                     assert_theta_matches_pointwise(trip, grid=8)
                 except (NotCommutingError, NotAContractionError):
-                    # fundamental_pair rejects the non-commuting controls and
-                    # the ||A|| = 1.2 ones after sampling, so no data set
+                    # The non-commuting controls, the ||A|| = 1.2 ones and the
+                    # pc-unitaries with ||S|| > 1 are rejected, so no data set
                     # carries their samples.
-                    assert tag is ClassTag.NON_EXAMPLE
+                    s_beyond_one = operator_norm(trip.b) > 1.0 + DEFAULT_TOL.eq_tol
+                    assert tag is ClassTag.NON_EXAMPLE or (
+                        tag is ClassTag.PC_UNITARY and s_beyond_one
+                    )
 
     def test_mixed_and_nonnormal_triples(self):
         for seed in range(3):
@@ -710,6 +713,14 @@ class TestDefectOfTheta:
             assert gap > 0.01
 
 
+def contractive_pc_unitary(dim):
+    """A generated pc-unitary (S* W, S, W), with S scaled to ||S|| <= 0.9 where
+    it is larger, so that it is a tetrablock unitary."""
+    trip = gen.gen_pc_unitary(GenConfig(seed=dim, dim=dim))
+    c = min(1.0, 0.9 / operator_norm(trip.b))
+    return cl.OperatorTriple(c * trip.a, c * trip.b, trip.t)
+
+
 class TestExtractAndCoincide:
     def test_pure_scalar_matches_mobius(self):
         trip = scalar_triple(0.2, 0.3, 0.5)
@@ -756,7 +767,7 @@ class TestExtractAndCoincide:
         "make",
         [
             lambda dim: gen.gen_strict_e_unitary(GenConfig(seed=dim, dim=dim)),
-            lambda dim: gen.gen_pc_unitary(GenConfig(seed=dim, dim=dim)),
+            contractive_pc_unitary,
             lambda dim: cl.OperatorTriple(0.3 * np.eye(dim), 0.3 * np.eye(dim), np.eye(dim)),
             lambda dim: cl.OperatorTriple(
                 0.4 * np.eye(dim), 0.4 * np.exp(-0.7j) * np.eye(dim), np.exp(0.7j) * np.eye(dim)
@@ -774,6 +785,16 @@ class TestExtractAndCoincide:
             rep = md.coincide(ds, other)
             assert rep.coincide, rep.residuals
             assert max(rep.residuals.values()) <= 1e-9
+
+    def test_pc_unitary_beyond_one_is_rejected(self):
+        # (S* W, S, W) with ||S|| > 1 is no E-contraction, although T is unitary
+        # and the completely non-unitary part is empty.
+        trips = [gen.gen_pc_unitary(GenConfig(seed=seed, dim=3)) for seed in range(6)]
+        trips = [trip for trip in trips if operator_norm(trip.b) > 1.0 + DEFAULT_TOL.eq_tol]
+        assert len(trips) >= 2
+        for trip in trips:
+            with pytest.raises(NotAContractionError, match="must be contractions"):
+                md.extract_data_set(trip, grid=8)
 
     def test_unitary_candidates_on_wide_system(self):
         # Seven equations in eight unknowns (two 2x2 blocks): the null space
