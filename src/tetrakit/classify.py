@@ -27,6 +27,7 @@ from .matkernel import (
     compress,
     joint_eigenvalues,
 )
+from .matkernel import _circle_sup, _norms_or_zero
 from .matkernel import _norm_or_zero as _nrm
 
 __all__ = [
@@ -229,85 +230,8 @@ def check_pc(triple: OperatorTriple, tol: Tolerances = DEFAULT_TOL) -> dict:
     }
 
 
-# Condition (c) of certify_e_contraction: its radii, and the phases of its
-# fixed circle grid followed by the vertices sec(pi/N) e^{i(2k+1)pi/N} of the
-# N-gon circumscribed about that grid.
+# The radii of the circles of certify_e_contraction's condition (c).
 _MOBIUS_RADII = (0.9, 0.99, 1.0)
-_MOBIUS_GRID = 128
-_MOBIUS_POINTS = np.concatenate([
-    np.exp(2j * np.pi * np.arange(_MOBIUS_GRID) / _MOBIUS_GRID),
-    np.exp(1j * np.pi * (2 * np.arange(_MOBIUS_GRID) + 1) / _MOBIUS_GRID)
-    / np.cos(np.pi / _MOBIUS_GRID),
-])
-
-
-def _mobius_form_maxima(triple: OperatorTriple) -> tuple[float, float]:
-    """Condition (c)'s bracket (mobius_form_max, mobius_form_upper) of the top
-    eigenvalues of the forms H_r(z) = F_r + z K_r + conj(z) K_r*, K_r =
-    r (second - first* T), on _MOBIUS_POINTS: a grid and the vertices of the
-    N-gon circumscribed about it.  By Weyl's inequality, |lmax H_r(z) -
-    lmax H_r(z')| <= 2 |z - z'| ||K_r||, plus eigvalsh's rounding from a
-    computed neighbour.  A pencil is evaluated only when that bound can raise
-    the best value so far by more than a slack far above the rounding; other
-    points keep their bounds.  Every 8th grid point is evaluated, then the
-    midpoints the rule keeps, halving the spacing to 1; a vertex lies
-    tan(pi/N) from its grid neighbours, and the two largest bounds go first.
-    So mobius_form_max is an attained grid value at most the slack below the
-    dense grid maximum, and mobius_form_upper, the largest vertex value or
-    bound left, is at or above every dense value.  Empty forms report 0.
-    """
-    n = triple.dim
-    if not n:
-        return 0.0, 0.0
-    t, tt = triple.t, triple.t.conj().T @ triple.t
-    # A*A - I, T*T - B*B and B - A*T per orientation, then scaled per radius.
-    terms = np.array([
-        (f.conj().T @ f - np.eye(n), tt - s.conj().T @ s, s - f.conj().T @ t)
-        for f, s in ((triple.a, triple.b), (triple.b, triple.a))
-    ])
-    radii = np.array(_MOBIUS_RADII)[:, None, None, None]
-    fixed = (terms[:, 0] + radii**2 * terms[:, 1]).reshape(-1, n, n)
-    mats = (radii * terms[:, 2]).reshape(-1, n, n)
-    norms = np.linalg.svd(np.concatenate([fixed, mats]), compute_uv=False)[:, 0]
-    f_norms, k_norms = np.split(norms, 2)
-    scale = 1.0 + f_norms.max() + 2.0 * k_norms.max()
-    slack, rounding = 1e-12 * scale, 8.0 * n * np.finfo(float).eps * scale
-    weyl = 2.0 * k_norms[:, None]
-
-    def tops(rows, cols):
-        # Each pencil is formed as in a dense pass over all points, so each
-        # top eigenvalue is the same float; a 1x1 form is its own eigenvalue.
-        s = _MOBIUS_POINTS[cols, None, None] * mats[rows]
-        pencils = fixed[rows] + s + s.conj().swapaxes(1, 2)
-        return pencils[:, 0, 0].real if n == 1 else np.linalg.eigvalsh(pencils)[:, -1]
-
-    # bounds[r, j] bounds the top eigenvalue of row r at grid point j from
-    # above, and is that eigenvalue where it was evaluated.
-    grid, step = _MOBIUS_GRID, 8
-    bounds = np.empty((len(fixed), grid))
-    rows, cols = np.divmod(np.arange(len(fixed) * grid // step), grid // step)
-    bounds[:, ::step] = tops(rows, step * cols).reshape(len(fixed), -1)
-    best = bounds[:, ::step].max()
-    while step > 1:
-        step //= 2
-        mids = np.arange(step, grid, 2 * step)
-        bound = np.minimum(bounds[:, mids - step], bounds[:, (mids + step) % grid])
-        bound += weyl * (2.0 * np.sin(np.pi * step / grid)) + rounding
-        rows, cols = np.nonzero(bound > best + slack)
-        if rows.size:
-            bound[rows, cols] = values = tops(rows, mids[cols])
-            best = max(best, values.max())
-        bounds[:, mids] = bound
-
-    # Vertex j lies between grid points j and j + 1.
-    vertex_bounds = np.minimum(bounds, np.roll(bounds, -1, axis=1))
-    vertex_bounds += weyl * np.tan(np.pi / grid) + rounding
-    rows, cols = np.divmod(np.argpartition(vertex_bounds, -2, axis=None)[-2:], grid)
-    vertex_bounds[rows, cols] = values = tops(rows, grid + cols)
-    rows, cols = np.nonzero(vertex_bounds > values.max() + slack)
-    if rows.size:
-        vertex_bounds[rows, cols] = tops(rows, grid + cols)
-    return float(best), float(max(vertex_bounds.max(), bounds.max()))
 
 
 # The exponents of a, b and t in the monomials a^i b^j t^k of total degree <= 3.
@@ -356,14 +280,14 @@ def certify_e_contraction(
           N*N - P*P <= 0, N = A - zT, P = I - zB, whose top eigenvalue is
           that of F_r + Re(e^{i theta} M_r), F_r = A*A - I + r^2(T*T - B*B),
           M_r = 2r(B - A*T); it needs no inverse, so it is defined where
-          I - zB is singular.  It is convex in e^{i theta}, so its maximum
-          on the vertices of the 128-gon circumscribed about a fixed
-          128-point grid bounds it from above.  Only the pencils whose Weyl
-          bound can raise the best value are evaluated: mobius_form_max is
-          an attained grid value within a rounding-scale slack of the grid
-          maximum, and mobius_form_upper is at or above every grid and
-          vertex value.  The map fails when mobius_form_max exceeds (2d + d^2)
-          scale_norm()^2, d = 100 eq_tol, the image of ||N P^{-1}|| <= 1 + d;
+          I - zB is singular.  One _circle_sup call brackets the sup of the
+          six forms (three radii, two orientations) over their circles:
+          mobius_form_max is a value attained there and mobius_form_upper
+          bounds the sup.  Their gap is at most 1e-6 |mobius_form_max| +
+          1e-12 (1 + max ||F_r|| + max ||M_r||), and the threshold below is
+          not between them, unless a refinement limit is hit.  It fails when
+          mobius_form_max exceeds (2d + d^2) scale_norm()^2, d = 100 eq_tol,
+          the image of ||N P^{-1}|| <= 1 + d;
       (d) every joint eigenvalue tuple lies in the closed tetrablock, tested
           at eq_tol scale_norm(), the scale of the class tests;
       (e) a randomized polynomial von Neumann test of total degree <= 3
@@ -389,13 +313,26 @@ def certify_e_contraction(
         failed.append("norm_bound")
 
     if commuting and norm_bound:
-        lower, upper = _mobius_form_maxima(triple)
-        residuals["mobius_form_max"] = lower
-        residuals["mobius_form_upper"] = upper
+        n, t, tt = triple.dim, triple.t, triple.t.conj().T @ triple.t
+        # A*A - I, T*T - B*B and B - A*T per orientation, then F_r and M_r
+        # per radius: the six forms, as one stack.
+        terms = np.array([
+            (f.conj().T @ f - np.eye(n), tt - s.conj().T @ s, s - f.conj().T @ t)
+            for f, s in ((triple.a, triple.b), (triple.b, triple.a))
+        ])
+        radii = np.array(_MOBIUS_RADII)[:, None, None, None]
+        forms = (terms[:, 0] + radii**2 * terms[:, 1]).reshape(6, n, n)
+        slopes = (2.0 * radii * terms[:, 2]).reshape(6, n, n)
+        norms = _norms_or_zero(*forms, *slopes)
         # ||X|| <= 1 + d with X = N P^{-1} gives N*N - P*P = P*(X*X - I)P
         # <= (2d + d^2) ||P||^2, and ||P|| = ||I - zB|| <= scale_norm().
         delta = 100.0 * tol.eq_tol
-        if lower > (2.0 * delta + delta**2) * triple.scale_norm() ** 2:
+        threshold = (2.0 * delta + delta**2) * triple.scale_norm() ** 2
+        slack = 1e-12 * (1.0 + max(norms[:6]) + max(norms[6:]))
+        lower, upper = _circle_sup(forms, [slopes], bound=threshold, slack=slack)
+        residuals["mobius_form_max"] = lower
+        residuals["mobius_form_upper"] = upper
+        if lower > threshold:
             failed.append("mobius_contractivity")
 
         tuples = joint_eigenvalues([triple.a, triple.b, triple.t], tol)

@@ -47,8 +47,7 @@ class Tolerances:
     """The one tolerance of the library: eq_tol bounds equality residuals
     and sets the contraction rule; it must be positive and finite.  Rank
     decisions use the fixed cut _PSD_TOL, and no search is sized by a
-    tolerance: the circle suprema and the certifier's circle grid fix
-    their own resolution.
+    tolerance: the circle suprema fix their own resolution.
     """
 
     eq_tol: float = 1e-9
@@ -159,9 +158,13 @@ _CIRCLE_LEVELS = 24
 _BASIS_MIX = np.random.default_rng(_COMBO_SEED).standard_normal((2, 2)) @ np.array([1.0, 1.0j])
 
 
-def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
+def _circle_sup(fixed, mats, bound: float = math.inf, slack: float = 0.0) -> tuple[float, float]:
     """Bracket (lower, upper) of the sup over theta in T^k, k in {1, 2}, of
     f(theta) = lambda_max(fixed + sum_j Re(e^{i theta_j} M_j)), Re(X) = (X + X*)/2.
+
+    fixed (or 0) and every M_j may share a leading family axis; the sup is
+    then over the family index too.  The stopping width is _CIRCLE_GAP
+    |lower| + slack, whose absolute term closes forms flat at rounding level.
 
     A jointly normal family, fixed = U diag(f) U* and M_j = U diag(d_j) U*,
     has the closed form sup f = max_i (f_i + sum_j |d_ji|), taken first.
@@ -173,119 +176,166 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     norms of the rotated off-diagonal parts, ||U*U - I|| times the summed
     Frobenius norms (Ostrowski's theorem) and a first-order rounding bound
     of the rotation.  lower is the value at theta_j = -arg d_ji of the best
-    i, one eigvalsh, and upper = S + eps.  That bracket is returned when it
-    meets the grid's stopping rule below; a family whose eps alone is wider
-    than the rule allows stops before the eigvalsh.
+    i and upper = S + eps, with one eigh, one batched SVD and one eigvalsh
+    for the whole stack; a family whose eps alone exceeds the stopping width
+    skips the eigvalsh.  A family whose bracket meets the grid's stopping
+    rule below is settled; when all are, the largest ends are returned.
 
-    Else cells centred on a grid of N points per phase (N = 16 at first)
-    cover the torus.  lower is attained: the best grid value, raised by
-    eigenvector ascent (theta_j = -arg x* M_j x, x the top eigenvector) from
-    the best 4 first-grid points and from any later grid point that beats
-    it; a start is retired once a step gains at most 1e-15 max(1, value).
-    With fixed = 0 the pencil at -p is the negated pencil at p, so one
-    eigvalsh of half the first grid gives the whole grid.  f is convex in p = e^{i theta}, and a cell's arc lies in
-    the triangle of a vertex of the circumscribed N-gon and its edge
-    midpoints, so means of vertex values bound f on the cell (with
-    fixed = 0 a vertex value is sec(pi/N) times a grid value).  Cells whose
-    bound exceeds lower by more than a relative 1e-6, or exceeds ``bound``
-    while lower does not, are split on the 2N grid until none is left, a
-    level would hold over 4096 cells, or 24 levels are done; only those
-    limits leave a wider bracket.
+    Else the other families go on to one grid and share one lower, which
+    starts at the best settled lower end; the family index is the top digit
+    of a cell's key.  Cells centred on a grid of N points per phase (N = 16
+    at first) cover the torus.  lower is attained: the best grid value,
+    raised by eigenvector ascent (theta_j = -arg x* M_j x, x the top
+    eigenvector) from the best 4 first-grid points and from any later grid
+    point that beats it; a start is retired once a step gains at most
+    1e-15 max(1, value).  With fixed = 0 the pencil at -p is the negated
+    pencil at p, so one eigvalsh of half the first grid gives the whole
+    grid.  f is convex in p = e^{i theta}, and a cell's arc lies in the
+    triangle of a vertex of the circumscribed N-gon and its edge midpoints,
+    so means of vertex values bound f on the cell (with fixed = 0 a vertex
+    value is sec(pi/N) times a grid value).  Cells whose bound exceeds
+    lower by more than the stopping width, or exceeds ``bound`` while lower
+    does not, are split on the 2N grid until none is left, a level would
+    hold over 4096 cells, or 24 levels are done; only those limits leave a
+    wider bracket.
     """
-    # A phase with a zero matrix leaves f unchanged; splitting along it
-    # would only multiply the cells.
+    # A phase with a zero matrix in every family leaves f unchanged;
+    # splitting along it would only multiply the cells.
     mats = np.stack([m for m in mats if np.any(m)] or mats[:1])
-    k, n = mats.shape[0], mats.shape[-1]
+    if mats.ndim == 3:
+        mats = mats[:, None]
+    k, fams, n = mats.shape[0], mats.shape[1], mats.shape[-1]
     if n == 0:
         return 0.0, 0.0
     homogeneous = not np.any(fixed)
-    flat = mats.reshape(k, n * n)
+    fixed = np.broadcast_to(fixed, (fams, n, n))
+    mats = np.ascontiguousarray(mats.transpose(1, 0, 2, 3))
+    flat = mats.reshape(fams, k, n * n)
 
-    def pencils(p):
-        """fixed + Re(sum_j p_j M_j) for every row p of a (P, k) array."""
-        s = (p @ flat).reshape(-1, n, n)
-        return fixed + 0.5 * (s + s.conj().transpose(0, 2, 1))
+    def pencils(fam, p):
+        """fixed + Re(sum_j p_j M_j) of family fam[i] for every row p[i] of a
+        (P, k) array."""
+        out = np.empty((len(p), n, n), dtype=complex)
+        for f in range(fams):
+            rows = fam == f if fams > 1 else slice(None)
+            s = (p[rows] @ flat[f]).reshape(-1, n, n)
+            out[rows] = fixed[f] + 0.5 * (s + s.conj().transpose(0, 2, 1))
+        return out
 
-    family = mats if homogeneous else np.concatenate([np.broadcast_to(fixed, (1, n, n)), mats])
-    diag = np.diagonal(family, axis1=1, axis2=2)
+    family = mats if homogeneous else np.concatenate([fixed[:, None], mats], axis=1)
+    diag = np.diagonal(family, axis1=2, axis2=3)
     if np.count_nonzero(family) == np.count_nonzero(diag):
         # Scalar abs: numpy's vectorised complex abs can be off by over an ulp.
-        rows = diag.tolist()
-        base = [0.0] * n if homogeneous else [f.real for f in rows.pop(0)]
-        top = max(f + sum(abs(d) for d in ds) for f, *ds in zip(base, *rows))
+        top = -math.inf
+        for rows in diag.tolist():
+            base = [0.0] * n if homogeneous else [f.real for f in rows.pop(0)]
+            top = max(top, max(f + sum(abs(d) for d in ds) for f, *ds in zip(base, *rows)))
         return top, float(np.nextafter(top, math.inf))
-    closed = _rotated_bracket(family, k, pencils)
-    if closed is not None:
-        lower, upper = closed
-        if upper - lower <= _CIRCLE_GAP * abs(lower) and not lower <= bound < upper:
-            return closed
+    # The closed form, each family rotated into its own basis U.  Each
+    # family's scalars are Python floats: cheaper than arrays of a few.
+    everyone = np.arange(fams)
+    u = np.linalg.eigh(pencils(everyone, _BASIS_MIX[None, :k].repeat(fams, axis=0)))[1]
+    uh = u.conj().transpose(0, 2, 1)
+    rotated = uh[:, None] @ family @ u[:, None]
+    diag = np.diagonal(rotated, axis1=2, axis2=3)
+    off = rotated - diag[..., None] * np.eye(n)
+    stack = np.concatenate([off, (uh @ u - np.eye(n))[:, None]], axis=1)
+    norms = np.linalg.svd(stack, compute_uv=False)[..., 0].tolist()
+    scales = np.linalg.norm(family, axis=(2, 3)).sum(axis=1).tolist()
+    # Rotating and summing in floating point moves each matrix by at most
+    # 2 gamma_n ||U||_F^2 ||X||_F to first order, with ||U||_F^2 about n.
+    rounding = 2.0 * n * n * np.finfo(float).eps
+    eps = [sum(offs) + (gram + rounding) * scale for (*offs, gram), scale in zip(norms, scales)]
+    heights = np.abs(diag[:, -k:]).sum(axis=1)
+    if family.shape[1] > k:
+        heights += diag[:, 0].real
+    peaks, tops = np.argmax(heights, axis=1), heights.max(axis=1).tolist()
+    near = [f for f in range(fams) if eps[f] <= _CIRCLE_GAP * abs(tops[f]) + slack]
+    lows = [-math.inf] * fams
+    if near:
+        phases = np.exp(-1j * np.angle(diag[near, -k:, peaks[near]]))
+        attained = np.linalg.eigvalsh(pencils(np.array(near), phases))[:, -1].tolist()
+        for f, low in zip(near, attained):
+            lows[f] = low
+    ups = [max(top + e, low) for top, e, low in zip(tops, eps, lows)]
+    settled = [
+        low > -math.inf and up - low <= _CIRCLE_GAP * abs(low) + slack and not low <= bound < up
+        for low, up in zip(lows, ups)
+    ]
+    if all(settled):
+        return max(lows), float(max(ups))
 
-    def spectra(p):
+    def spectra(fam, p):
         """Eigenvalues of each pencil, 512 pencils at a time."""
-        chunks = (pencils(p[i:i + 512]) for i in range(0, len(p), 512))
+        chunks = (pencils(fam[i:i + 512], p[i:i + 512]) for i in range(0, len(p), 512))
         return np.concatenate([np.linalg.eigvalsh(c) for c in chunks])
 
-    def ascend(p):
+    def ascend(fam, p):
         """Best value of the eigenvector ascent from the phase rows of p."""
-        w, v = np.linalg.eigh(pencils(p))
+        w, v = np.linalg.eigh(pencils(fam, p))
         value, x = w[:, -1], v[..., -1]
         retired = -math.inf
         for _ in range(_ASCENT_CAP):
-            q = np.einsum("si,kij,sj->sk", x.conj(), mats, x)
-            w, v = np.linalg.eigh(pencils(np.exp(-1j * np.angle(q))))
+            q = np.einsum("si,skij,sj->sk", x.conj(), mats[fam], x)
+            w, v = np.linalg.eigh(pencils(fam, np.exp(-1j * np.angle(q))))
             gain = w[:, -1] - value
             value, x = np.maximum(value, w[:, -1]), v[..., -1]
             done = gain <= 1e-15 * np.maximum(1.0, value)
             retired = max(retired, float(np.max(value[done], initial=-math.inf)))
-            value, x = value[~done], x[~done]
+            value, x, fam = value[~done], x[~done], fam[~done]
             if not len(value):
                 break
         return max(retired, float(np.max(value, initial=-math.inf)))
 
     # Grid points are integer tuples on the finest grid, so a point keeps
-    # its key, and its value, from one level to the next.
+    # its key, and its value, from one level to the next; the family index
+    # is the last entry, the top digit of the key.
     fine = _CIRCLE_GRID << _CIRCLE_LEVELS
-    radix = fine ** np.arange(k)
+    radix = fine ** np.arange(k + 1)
 
     def distinct(idx):
-        """Sorted keys of the distinct rows of an integer (..., k) array mod
-        fine, the rows themselves, and the inverse."""
-        keys, inverse = np.unique((idx.reshape(-1, k) % fine) @ radix, return_inverse=True)
+        """Sorted keys of the distinct rows of an integer (..., k + 1) array
+        mod fine, the rows themselves, and the inverse."""
+        keys, inverse = np.unique((idx.reshape(-1, k + 1) % fine) @ radix, return_inverse=True)
         return keys, keys[:, None] // radix % fine, inverse
 
-    steps = np.indices((3,) * k).reshape(k, -1).T - 1
+    steps = np.c_[np.indices((3,) * k).reshape(k, -1).T - 1, np.zeros(3**k, dtype=int)]
     spacing = fine // _CIRCLE_GRID
-    cells = spacing * np.indices((_CIRCLE_GRID,) * k).reshape(k, -1).T
-    lower = upper = -math.inf
+    grid = spacing * np.indices((_CIRCLE_GRID,) * k).reshape(k, -1).T
+    live = [f for f, done in enumerate(settled) if not done]
+    cells = np.c_[np.tile(grid, (len(live), 1)), np.repeat(live, len(grid))]
+    lower = max((low for low, done in zip(lows, settled) if done), default=-math.inf)
+    upper = max((up for up, done in zip(ups, settled) if done), default=-math.inf)
     keys = values = np.empty(0)
     for level in range(_CIRCLE_LEVELS):
         old_keys, old_values = keys, values
         keys, points, where = distinct(cells[:, None] + spacing * steps)
-        phases = np.exp(2j * np.pi * points / fine)
+        fam, phases = points[:, k], np.exp(2j * np.pi * points[:, :k] / fine)
         if level == 0 and homogeneous:
             # The first level is the whole grid, closed under p -> -p.
             half = np.flatnonzero(points[:, 0] < fine // 2)
-            w = spectra(phases[half])
+            w = spectra(fam[half], phases[half])
             values = np.empty(len(keys))
             values[half] = w[:, -1]
-            values[np.searchsorted(keys, ((points[half] + fine // 2) % fine) @ radix)] = -w[:, 0]
+            opposite = points[half] + np.r_[np.full(k, fine // 2), 0]
+            values[np.searchsorted(keys, (opposite % fine) @ radix)] = -w[:, 0]
         elif level == 0:
-            values = spectra(phases)[:, -1]
+            values = spectra(fam, phases)[:, -1]
         else:
             at = np.minimum(np.searchsorted(old_keys, keys), len(old_keys) - 1)
             values = old_values[at]
             new = old_keys[at] != keys
-            values[new] = spectra(phases[new])[:, -1]
+            values[new] = spectra(fam[new], phases[new])[:, -1]
         if values.max() > lower:
             best = np.argsort(values)[-(_ASCENT_STARTS if level == 0 else 1):]
-            lower = max(lower, ascend(phases[best]))
+            lower = max(lower, ascend(fam[best], phases[best]))
         sec = 1.0 / math.cos(math.pi * spacing / fine)
-        vertex = sec * values if homogeneous else spectra(sec * phases)[:, -1]
+        vertex = sec * values if homogeneous else spectra(fam, sec * phases)[:, -1]
         cell_ub = vertex[where].reshape((-1,) + (3,) * k)
         for axis in range(1, k + 1):
             cell_ub = 0.5 * (cell_ub + np.take(cell_ub, [1], axis=axis))
         cell_ub = cell_ub.reshape(len(cells), -1).max(axis=1)
-        split = (cell_ub > lower + _CIRCLE_GAP * abs(lower)) | (
+        split = (cell_ub > lower + _CIRCLE_GAP * abs(lower) + slack) | (
             (cell_ub > bound) & (lower <= bound)
         )
         upper = max(upper, float(np.max(cell_ub[~split], initial=-math.inf)))
@@ -297,33 +347,6 @@ def _circle_sup(fixed, mats, bound: float = math.inf) -> tuple[float, float]:
     upper = max(upper, float(np.max(cell_ub[split], initial=-math.inf)))
     # Rounding may put a tight bound a few ulps under an attained value.
     return lower, max(upper, lower)
-
-
-def _rotated_bracket(family, k, pencils) -> tuple[float, float] | None:
-    """The closed-form bracket of _circle_sup for ``family``, the k phase
-    matrices after fixed unless fixed is zero; None when eps alone is wider
-    than _CIRCLE_GAP relative to the closed form."""
-    n = family.shape[-1]
-    u = np.linalg.eigh(pencils(_BASIS_MIX[None, :k]))[1][0]
-    rotated = u.conj().T @ family @ u
-    diag = np.diagonal(rotated, axis1=1, axis2=2)
-    off = rotated - diag[..., None] * np.eye(n)
-    gram = u.conj().T @ u - np.eye(n)
-    *off_norms, gram_norm = _norms_or_zero(*off, gram)
-    scale = float(np.linalg.norm(family, axis=(1, 2)).sum())
-    # Rotating and summing in floating point moves each matrix by at most
-    # 2 gamma_n ||U||_F^2 ||X||_F to first order, with ||U||_F^2 about n.
-    eps = sum(off_norms) + (gram_norm + 2.0 * n * n * np.finfo(float).eps) * scale
-    heights = np.abs(diag[-k:]).sum(axis=0)
-    if len(family) > k:
-        heights += diag[0].real
-    i = int(np.argmax(heights))
-    top = float(heights[i])
-    if eps > _CIRCLE_GAP * abs(top):
-        return None
-    peak = np.exp(-1j * np.angle(diag[-k:, i]))
-    lower = float(np.linalg.eigvalsh(pencils(peak[None]))[0, -1])
-    return lower, max(top + eps, lower)
 
 
 # Kept though no stage calls them: the benchmark tracer binds numerical_radius and solve_sandwich.

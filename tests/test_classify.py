@@ -160,9 +160,55 @@ def mobius_form(trip, z, swap=False):
     return n.conj().swapaxes(-1, -2) @ n - p.conj().swapaxes(-1, -2) @ p
 
 
+RADII = (0.9, 0.99, 1.0)
+
+
+def mobius_stack(trip):
+    """Condition (c)'s forms as the certifier builds them: (F_r, K_r) with
+    F_r = first* first - I + r^2 (T*T - second* second) and K_r = r (second -
+    first* T), so that F_r + z K_r + conj(z) K_r* = N*N - P*P at r z, for each
+    radius r and orientation (first, second) = (A, B), (B, A)."""
+    eye, t = np.eye(trip.dim), trip.t
+    return [
+        (first.conj().T @ first - eye + radius**2 * (t.conj().T @ t - second.conj().T @ second),
+         radius * (second - first.conj().T @ t))
+        for radius in RADII
+        for first, second in ((trip.a, trip.b), (trip.b, trip.a))
+    ]
+
+
+def rounding_slack(trip):
+    """The absolute term of condition (c)'s stopping width:
+    1e-12 (1 + max ||F_r|| + 2 max ||K_r||)."""
+    norms = np.array([[operator_norm(f), operator_norm(k)] for f, k in mobius_stack(trip)])
+    return 1e-12 * (1.0 + norms[:, 0].max() + 2.0 * norms[:, 1].max())
+
+
+def circle_bracket(trip, points=4096):
+    """The largest top eigenvalue of the forms F_r + z K_r + conj(z) K_r* at
+    ``points`` phases z on the unit circle, at most their sup, and at the
+    vertices sec(pi/N) e^{i(2j+1)pi/N} of the circumscribed N-gon, at least
+    their sup: the top eigenvalue is convex in z."""
+    grid = np.exp(2j * np.pi * np.arange(points) / points)
+    vertices = np.exp(1j * np.pi * (2 * np.arange(points) + 1) / points) / np.cos(np.pi / points)
+    tops = [-np.inf, -np.inf]
+    for fixed, slope in mobius_stack(trip):
+        for side, z in enumerate((grid, vertices)):
+            s = z[:, None, None] * slope
+            top = np.linalg.eigvalsh(fixed + s + s.conj().swapaxes(1, 2))[:, -1].max()
+            tops[side] = max(tops[side], top)
+    return tuple(tops)
+
+
+def is_normal(trip):
+    mats = (trip.a, trip.b, trip.t)
+    return all(operator_norm(m @ m.conj().T - m.conj().T @ m) <= 1e-12 for m in mats)
+
+
 def pointwise_certify(trip, mc_samples=64, seed=0, boundary_samples=2048):
-    """The certifier written point by point: one Mobius form per z, one
-    polynomial at a time, each boundary point as a Point3."""
+    """The certifier written point by point: condition (c) in closed form
+    over the joint eigenvalues of a normal triple and on a circle sample
+    otherwise, one polynomial at a time, each boundary point as a Point3."""
     tol = DEFAULT_TOL
     point_tol = dataclasses.replace(tol, eq_tol=tol.eq_tol * trip.scale_norm())
     residuals, failed = {}, []
@@ -174,28 +220,28 @@ def pointwise_certify(trip, mc_samples=64, seed=0, boundary_samples=2048):
         failed.append("norm_bound")
     # Conditions (c)-(e) are tested once (a) and (b) have passed.
     if commuting and "norm_bound" not in failed:
-        # The form is affine in w = z / r, so at a vertex c e^{i phi} of the
-        # circumscribed 128-gon it mixes the forms at r e^{i phi} and -r e^{i phi}.
-        c = 1.0 / np.cos(np.pi / 128)
-        grid_max = vertex_max = -np.inf
-        for radius in (0.9, 0.99, 1.0):
-            for k in range(128):
-                u = np.exp(2j * np.pi * k / 128)
-                v = np.exp(1j * np.pi * (2 * k + 1) / 128)
-                for swap in (False, True):
-                    on_grid = mobius_form(trip, radius * u, swap)
-                    vertex = (0.5 * (1 + c) * mobius_form(trip, radius * v, swap)
-                              + 0.5 * (1 - c) * mobius_form(trip, -radius * v, swap))
-                    grid_max = max(grid_max, np.linalg.eigvalsh(on_grid)[-1])
-                    vertex_max = max(vertex_max, np.linalg.eigvalsh(vertex)[-1])
-        residuals["mobius_form_max"] = grid_max
-        residuals["mobius_form_upper"] = max(vertex_max, grid_max)
-        delta = 100.0 * tol.eq_tol
-        if grid_max > (2.0 * delta + delta**2) * trip.scale_norm() ** 2:
-            failed.append("mobius_contractivity")
         try:
             tuples = joint_eigenvalues([trip.a, trip.b, trip.t], tol)
         except NotCommutingError:
+            tuples = None
+        if tuples is not None and is_normal(trip):
+            # On a joint eigenvector the form at z = r e^{i theta} is
+            # |a|^2 - 1 + r^2 (|t|^2 - |b|^2) + 2 Re(z (b - conj(a) t)).
+            value = max(
+                abs(x) ** 2 - 1 + r * r * (abs(t) ** 2 - abs(y) ** 2)
+                + 2 * r * abs(y - x.conjugate() * t)
+                for a, b, t in tuples
+                for x, y in ((a, b), (b, a))
+                for r in RADII
+            )
+            residuals["mobius_form_max"] = residuals["mobius_form_upper"] = value
+        else:
+            value, residuals["mobius_polygon"] = circle_bracket(trip)
+            residuals["mobius_sample"] = value
+        delta = 100.0 * tol.eq_tol
+        if value > (2.0 * delta + delta**2) * trip.scale_norm() ** 2:
+            failed.append("mobius_contractivity")
+        if tuples is None:
             tuples = []
             failed.append("joint_spectrum")
         inside = [t for t in tuples if geo.in_tetrablock(geo.Point3(*t), point_tol).in_closure]
@@ -230,6 +276,14 @@ def assert_matches_pointwise(trip, mc_samples=64, seed=0):
     want = cl.Certificate.CERTIFIED_NOT if failed else cl.Certificate.PASSED_NECESSARY
     assert frag["certificate"] is want
     assert frag["failed"] == failed
+    if "mobius_sample" in residuals:
+        # Not normal: the certifier's bracket lies inside the sample and
+        # polygon bracket, but for the upper end's stopping width.
+        sample, polygon = residuals.pop("mobius_sample"), residuals.pop("mobius_polygon")
+        lower, upper = frag["residuals"]["mobius_form_max"], frag["residuals"]["mobius_form_upper"]
+        margin = rounding_slack(trip)
+        assert sample - margin <= lower <= upper <= polygon + 1e-6 * abs(lower) + margin
+        assert upper >= sample
     for name, value in residuals.items():
         assert abs(frag["residuals"][name] - value) <= 1e-12 * max(1.0, abs(value)), name
     assert ("von_neumann_excess" in frag["residuals"]) == ("von_neumann_excess" in residuals)
@@ -280,17 +334,29 @@ class TestBatchedCertifier:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(NORMAL_ENTRIES, st.integers(0, 2**16))
     def test_mobius_bracket_holds_the_fine_grid_maximum(self, entries, seed):
+        # The forms N*N - P*P themselves, on a fine grid of each circle: a
+        # normal triple's bracket is its closed form, so both ends hold the
+        # grid maximum, up to the rounding of forming N*N - P*P.
         trip = normal_triple(entries, seed)
         res = cl.certify_e_contraction(trip, mc_samples=1, seed=seed)["residuals"]
         fine = np.exp(2j * np.pi * np.arange(4096) / 4096)
         fine_max = max(
             np.linalg.eigvalsh(mobius_form(trip, r * fine, swap))[:, -1].max()
-            for r in (0.9, 0.99, 1.0)
+            for r in RADII
             for swap in (False, True)
         )
         assert res["mobius_form_max"] <= res["mobius_form_upper"]
-        assert res["mobius_form_max"] <= fine_max + 1e-12
+        assert res["mobius_form_max"] >= fine_max - 1e-12
         assert res["mobius_form_upper"] >= fine_max - 1e-12
+
+    def test_ando_triples(self):
+        # Not normal, so the reference is the circle sample and polygon.
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4, 5):
+            for _ in range(2):
+                trip = ando_triple(rng, n)
+                assert not is_normal(trip)
+                assert_matches_pointwise(trip, mc_samples=8)
 
     def test_boundary_sups_drawn_once_per_setting(self, monkeypatch):
         cl._test_polynomials.cache_clear()
@@ -320,41 +386,40 @@ class TestBatchedCertifier:
             assert 0.0 <= res["mobius_form_upper"] - res["mobius_form_max"] <= 1e-12, seed
 
 
-def dense_mobius_tops(trip):
-    """The top eigenvalue of every one of condition (c)'s 6 x 256 pencils, as
-    the certifier computed them before it skipped pencils by their Weyl
-    bound, and the margin by which its lower end may fall short of their
-    grid maximum: 1e-12 (1 + max ||F_r|| + 2 max ||K_r||)."""
-    n = trip.dim
-    eye = np.eye(n)
-    rows, norms = [], [0.0, 0.0]
-    t, tt = trip.t, trip.t.conj().T @ trip.t
-    pairs = ((trip.a, trip.b), (trip.b, trip.a)) if n else ()
-    for radius, (first, second) in itertools.product(cl._MOBIUS_RADII, pairs):
-        fixed = first.conj().T @ first - eye + radius**2 * (tt - second.conj().T @ second)
-        slope = radius * (second - first.conj().T @ t)
-        s = cl._MOBIUS_POINTS[:, None, None] * slope
-        rows.append(np.linalg.eigvalsh(fixed + s + s.conj().swapaxes(1, 2))[:, -1])
-        norms = np.maximum(norms, [operator_norm(fixed), operator_norm(slope)])
-    tops = np.array(rows) if rows else np.zeros((1, 2 * cl._MOBIUS_GRID))
-    return tops, 1e-12 * (1.0 + norms[0] + 2.0 * norms[1])
+def ando_triple(rng, n):
+    """(X, X^2, X^3) for X a Haar-conjugated scaled Jordan block, ||X|| <= 1.
+    The tetrablock holds (x, y, xy) for |x|, |y| < 1, and by Ando's theorem
+    commuting contractions X, Y satisfy the bidisk von Neumann inequality, so
+    (X, Y, XY) is an E-contraction; it is not normal."""
+    eigenvalue = 0.5 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+    jordan = eigenvalue * np.eye(n) + rng.uniform(0.2, 1.0) * np.eye(n, k=1)
+    x = rng.uniform(0.3, 1.0) * jordan / operator_norm(jordan)
+    u = gen.haar_unitary(rng, n)
+    x = u @ x @ u.conj().T
+    return cl.OperatorTriple(x, x @ x, x @ x @ x)
 
 
-def dense_mobius_maxima(trip):
-    """The grid maximum of dense_mobius_tops, and the larger of it and the
-    vertex maximum."""
-    tops, _ = dense_mobius_tops(trip)
-    lower = float(np.max(tops[:, : cl._MOBIUS_GRID]))
-    return lower, max(float(np.max(tops[:, cl._MOBIUS_GRID:])), lower)
+def contractive(trip):
+    """A pc-unitary (S* W, S, W) with S scaled to ||S|| <= 1, so that the
+    certifier reaches condition (c)."""
+    scale = max(1.0, operator_norm(trip.b))
+    return cl.OperatorTriple(trip.a / scale, trip.b / scale, trip.t)
+
+
+def certified_bracket(trip):
+    """Condition (c)'s (mobius_form_max, mobius_form_upper)."""
+    res = cl.certify_e_contraction(trip, mc_samples=0)["residuals"]
+    return res["mobius_form_max"], res["mobius_form_upper"]
 
 
 @st.composite
 def mobius_triples(draw):
-    """Triples whose forms are sloped, flat (K_r = 0 up to rounding: strict
-    E-unitaries, pc-unitaries, special models), nearly unitary in T, or
-    defined where I - zB is singular on the circle."""
+    """Triples that reach condition (c), whose forms are sloped, flat (K_r = 0
+    up to rounding: strict E-unitaries, pc-unitaries, special models), not
+    normal (Ando triples), nearly unitary in T, or defined where I - zB is
+    singular on the circle."""
     family = draw(st.sampled_from(
-        ["normal", "generated", "unitary", "special", "near_unitary", "singular"]
+        ["normal", "generated", "unitary", "special", "ando", "near_unitary", "singular"]
     ))
     seed = draw(st.integers(0, 2**16))
     if family == "normal":
@@ -366,9 +431,12 @@ def mobius_triples(draw):
         return gen.generate(GenConfig(seed=seed, dim=draw(st.integers(1, 8)), class_tag=tag))
     if family == "unitary":
         tag = draw(st.sampled_from([ClassTag.STRICT_E_UNITARY, ClassTag.PC_UNITARY]))
-        return gen.generate(GenConfig(seed=seed, dim=draw(st.integers(1, 5)), class_tag=tag))
+        dim = draw(st.integers(1, 5))
+        return contractive(gen.generate(GenConfig(seed=seed, dim=dim, class_tag=tag)))
     if family == "special":
         return gen.gen_scalar_special_model(GenConfig(seed=seed, dim=1))[1]
+    if family == "ando":
+        return ando_triple(np.random.default_rng(seed), draw(st.integers(2, 5)))
     if family == "near_unitary":
         eps = 10.0 ** -draw(st.floats(3.0, 9.0))
         zero = np.zeros((2, 2))
@@ -380,61 +448,79 @@ def mobius_triples(draw):
     )
 
 
+def flat_triples():
+    """Strict E-unitaries and contractive pc-unitaries, n = 2-5: B = A*T
+    makes K_r = 0, and F_r is normal, up to rounding."""
+    for tag in (ClassTag.STRICT_E_UNITARY, ClassTag.PC_UNITARY):
+        for dim in range(2, 6):
+            for seed in range(40):
+                yield contractive(gen.generate(GenConfig(seed, dim, tag)))
+
+
+def count_linalg(monkeypatch):
+    """Patch np.linalg to record (name, batch length) of every call, and stub
+    the certifier's joint spectrum, so a certify call records condition (c)."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "norm", "qr", "solve", "lstsq"):
+        def counted(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, len(a) if np.ndim(a) == 3 else 1))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(cl, "joint_eigenvalues", lambda mats, tol: [])
+    return calls
+
+
 class TestMobiusMaxima:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(mobius_triples())
     def test_bracket_of_the_dense_grid(self, trip):
-        # Read from the helper: the certifier skips condition (c) on the
-        # triples of this strategy that fail the norm bound.  The lower end
-        # is an attained grid value within the margin of the grid maximum;
-        # the upper end is at or above every dense grid and vertex value.
-        tops, margin = dense_mobius_tops(trip)
-        dense_lower, dense_upper = dense_mobius_maxima(trip)
-        lower, upper = cl._mobius_form_maxima(trip)
-        assert lower in tops[:, : cl._MOBIUS_GRID]
-        assert dense_lower - margin <= lower <= dense_lower
-        assert upper >= dense_upper
-
-    @staticmethod
-    def pencil_counts(monkeypatch, tags):
-        counts = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def counted(pencils):
-            counts[-1] += len(pencils)
-            return eigvalsh(pencils)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        for tag in tags:
-            for dim in range(2, 6):
-                for seed in range(40):
-                    counts.append(0)
-                    cl._mobius_form_maxima(gen.generate(GenConfig(seed, dim, tag)))
-        return counts
+        # The upper end is at or above every value of a 4096-point circle
+        # sample.  The lower end is attained: at most the circumscribed
+        # polygon's bound on the sup, and within the stopping width of the
+        # sample.
+        lower, upper = certified_bracket(trip)
+        sample, polygon = circle_bracket(trip)
+        margin = rounding_slack(trip)
+        assert upper >= sample
+        assert sample - 1e-6 * abs(lower) - margin <= lower <= polygon + margin
 
     def test_pencil_counts(self, monkeypatch):
-        tags = (ClassTag.PURE_E_CONTRACTION, ClassTag.NORMAL_E_CONTRACTION)
-        counts = self.pencil_counts(monkeypatch, tags)
-        # A quarter of the 6 x 256 pencils of the dense grid and vertices.
-        assert max(counts) <= 0.25 * 6 * 2 * cl._MOBIUS_GRID, max(counts)
+        # One stacked call serves all six forms: the slack's SVD, then one
+        # eigh, one SVD, the Frobenius norms and one eigvalsh, of six pencils
+        # each.  Six separate calls would take four linalg calls each.
+        trips = [gen.generate(GenConfig(seed, dim, tag))
+                 for tag in (ClassTag.PURE_E_CONTRACTION, ClassTag.NORMAL_E_CONTRACTION)
+                 for dim in range(1, 6) for seed in range(40)]
+        for trip in trips:
+            # Fill the norm table, so that only condition (c) calls linalg.
+            cl.is_commuting(trip)
+            trip.scale_norm()
+        calls = count_linalg(monkeypatch)
+        for trip in trips:
+            calls.clear()
+            cl.certify_e_contraction(trip, mc_samples=0)
+            assert len(calls) <= 7, calls
+            assert sum(size for name, size in calls if name.startswith("eig")) <= 12, calls
 
     def test_flat_forms_need_only_the_first_pencils(self, monkeypatch):
-        # K_r = 0 up to rounding, so no Weyl bound can raise the best value:
-        # only every 8th grid point of each row and the two first vertices.
-        tags = (ClassTag.STRICT_E_UNITARY, ClassTag.PC_UNITARY)
-        counts = self.pencil_counts(monkeypatch, tags)
-        assert max(counts) <= 6 * cl._MOBIUS_GRID // 8 + 2, max(counts)
+        # Flat forms close through the closed form within 1e-12, thanks to
+        # the absolute term of the stopping width: one eigh and one eigvalsh
+        # of the six forms, and no grid.
+        trips = list(flat_triples())
+        calls = count_linalg(monkeypatch)
+        for trip in trips:
+            calls.clear()
+            lower, upper = certified_bracket(trip)
+            assert 0.0 <= upper - lower <= 1e-12
+            assert [c for c in calls if c[0].startswith("eig")] == [("eigh", 6), ("eigvalsh", 6)]
 
     def test_bounds_cover_the_rounding_of_flat_forms(self):
-        # The dense values of a flat form differ only by eigvalsh's rounding,
-        # so only the rounding term keeps the bounds left at or above them.
-        for tag in (ClassTag.STRICT_E_UNITARY, ClassTag.PC_UNITARY):
-            for dim in range(2, 6):
-                for seed in range(40):
-                    trip = gen.generate(GenConfig(seed, dim, tag))
-                    lower, upper = cl._mobius_form_maxima(trip)
-                    dense_lower, dense_upper = dense_mobius_maxima(trip)
-                    assert lower <= dense_lower and upper >= dense_upper, (tag, dim, seed)
+        # The sampled values of a flat form differ only by rounding, which
+        # the closed form's eps covers.
+        for trip in itertools.islice(flat_triples(), 0, None, 8):
+            lower, upper = certified_bracket(trip)
+            sample, polygon = circle_bracket(trip)
+            assert sample <= upper and lower <= polygon + rounding_slack(trip)
 
     def test_one_by_one_forms_need_no_eigensolver(self, monkeypatch):
         def no_solver(*args, **kwargs):
@@ -444,12 +530,13 @@ class TestMobiusMaxima:
         for tag in ClassTag:
             if tag is not ClassTag.SPECIAL_SCALAR_DATASET:
                 trips += [gen.generate(GenConfig(seed, 1, tag)) for seed in range(5)]
-        trips = [trip for trip in trips if trip.dim == 1]
+        trips = [contractive(trip) for trip in trips if trip.dim == 1]
         assert len(trips) == 22
+        monkeypatch.setattr(cl, "joint_eigenvalues", lambda mats, tol: [])
         for name in ("eigvalsh", "eigh", "eigvals", "eig"):
             monkeypatch.setattr(np.linalg, name, no_solver)
         for trip in trips:
-            cl._mobius_form_maxima(trip)
+            assert "mobius_form_max" in cl.certify_e_contraction(trip, mc_samples=0)["residuals"]
 
 
 class TestSymmetrySuite:

@@ -320,6 +320,44 @@ class TestCircleSup:
         assert moved[0] == pytest.approx(lower, abs=1e-10 * (1 + k * scale))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 5), st.integers(1, 2), st.booleans(), st.booleans(), st.integers(0, 2**16)
+    )
+    def test_one_family_stack_is_the_unstacked_call(self, n, k, normal, fixed_part, seed):
+        # Bit for bit, in the closed form and on the grid, with a bound on
+        # either side of the sup or inside the bracket.
+        rng = np.random.default_rng(seed)
+        mats = jointly_diagonal(rng, n, k)[1] if normal else random_mats(seed, n, k)
+        fixed = herm(rand_matrix(rng, n)) if fixed_part else 0.0
+        lower, upper = mk._circle_sup(fixed, mats)
+        stack = np.asarray(fixed)[None] if fixed_part else 0.0, [m[None] for m in mats]
+        for bound in (np.inf, 0.5 * (lower + upper), lower - 1e-3 * abs(lower)):
+            assert mk._circle_sup(*stack, bound=bound) == mk._circle_sup(fixed, mats, bound=bound)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(2, 6), st.integers(1, 2), st.integers(0, 2**16))
+    def test_stack_holds_the_best_family(self, n, families, k, seed):
+        # Jointly normal and general families, stacked: the sup over the
+        # stack is the largest family sup, so its bracket holds the largest
+        # lower end of the families taken alone.
+        rng = np.random.default_rng(seed)
+        fixed, mats = [], []
+        for _ in range(families):
+            if rng.uniform() < 0.5:
+                u, family, _ = jointly_diagonal(rng, n, k)
+                part = u @ np.diag(rng.standard_normal(n)) @ u.conj().T
+            else:
+                family, part = [rand_matrix(rng, n) for _ in range(k)], herm(rand_matrix(rng, n))
+            # Two phases take fixed = 0, as the fundamental pair does.
+            fixed.append(part if k == 1 else 0.0)
+            mats.append(family)
+        best = max(mk._circle_sup(f, m)[0] for f, m in zip(fixed, mats))
+        stack = [np.array(m) for m in zip(*mats)]
+        lower, upper = mk._circle_sup(np.array(fixed) if k == 1 else 0.0, stack)
+        assert lower <= best <= upper
+        assert upper - lower <= 1e-6 * abs(lower)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(1, 5), st.floats(1e-3, 1e3), st.integers(0, 2**16))
     def test_swap_invariant(self, n, scale, seed):
         x1, x2 = random_mats(seed, n, 2, scale)
