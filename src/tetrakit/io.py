@@ -192,8 +192,8 @@ def dataset_from_json(obj) -> TetrablockDataSet:
 
 
 def model_to_json(m: DouglasModel) -> dict:
-    """The model's generators; the lift operators v1, v2, v3 are not written,
-    since order_n, g1, g2 and the residual triple determine them."""
+    """The model's generators; v1, v2, v3 are not written, since order_n, g1, g2,
+    the link (the embedding's first defect_dim rows) and the input triple fix them."""
     return {
         "order_n": m.order_n,
         "defect_dim": m.defect_dim,

@@ -1,15 +1,15 @@
 """Douglas-type functional model, characteristic function, and data sets.
 
 The model for a triple (A, B, T) with contractive T lives on the truncated
-analytic space C^{(N+1) d} (d = dim of the defect of T*) plus the residual
-space where powers of T stay isometric.  The embedding stacks the
-observability blocks D_{T*} T^{*n} over the residual projection; the lift
-triple is block Toeplitz in the adjoint fundamental pair (G1, G2) on the
-analytic part and the canonical residual tetrablock unitary on the rest.
-Each lift operator is stored by its generators (LiftOperator) and applied
-blockwise, so a model holds O((N+1) d n) numbers, not O(((N+1) d)^2).
-All guarantees are expressed relative to the truncation tail
-``||D_{T*} T^{*(N+1)}||``.
+analytic space C^{(N+1) d} (d = dim of the defect of T*) plus a remainder
+copy of the input space.  The embedding stacks the observability blocks
+C* D_{T*} T^{*k}, k <= N, over the remainder T^{*(N+1)} (I - Q) + Q (Q the
+projection onto the unitary part of T); the lift triple is block Toeplitz in
+the adjoint fundamental pair (G1, G2) and (A, B, T) itself on the remainder,
+coupled through the embedding's first block row, so X = Pi* V Pi exactly at
+every order N.  Each lift operator is stored by its generators (LiftOperator)
+and applied blockwise, so a model holds O((N+1) d n + n^2) numbers, not
+O(((N+1) d)^2).
 """
 
 from __future__ import annotations
@@ -105,51 +105,54 @@ class ResidualTriple:
 
 @dataclass(frozen=True, eq=False)
 class LiftOperator:
-    """block_diag(Toeplitz, residual), stored by its generators.
+    """Block Toeplitz part and remainder block, stored by their generators.
 
     The Toeplitz part is lower bidiagonal with ``blocks`` block rows of
-    size d: ``diag`` on the diagonal and ``sub`` below it.  Arguments of
-    matvec and rmatvec are arrays whose first axis has blocks * d + r rows,
-    r the size of ``residual``.
+    size d: ``diag`` on the diagonal and ``sub`` below it.  V maps the last
+    block into the n x n ``remainder`` block by link* sub, ``link`` (d x n)
+    being the embedding's first block row C* D_{T*}.  Arguments of matvec
+    and rmatvec are arrays whose first axis has blocks * d + n rows.
     """
 
     diag: np.ndarray = field(repr=False)
     sub: np.ndarray = field(repr=False)
     blocks: int
-    residual: np.ndarray = field(repr=False)
+    remainder: np.ndarray = field(repr=False)
+    link: np.ndarray = field(repr=False)
 
-    def _apply(self, x, diag, sub, residual, lower: bool) -> np.ndarray:
+    def _apply(self, x, diag, sub, remainder, coupling, lower: bool) -> np.ndarray:
         """Product with the given blocks; ``lower`` puts ``sub`` below the
-        diagonal (V), otherwise above it (V*)."""
-        x = np.asarray(x)
-        d = diag.shape[0]
-        m = self.blocks * d
-        top = x[:m].reshape(self.blocks, d, int(np.prod(x.shape[1:])))
-        out = diag @ top
+        diagonal and ``coupling`` below the last block (V), else above (V*)."""
+        flat = np.reshape(x, (len(x), int(np.prod(np.shape(x)[1:]))))
+        m = self.blocks * diag.shape[0]
+        top = flat[:m].reshape(self.blocks, diag.shape[0], flat.shape[1])
+        out, rest = diag @ top, remainder @ flat[m:]
         if lower:
             out[1:] += sub @ top[:-1]
+            rest = rest + coupling @ top[-1]
         else:
             out[:-1] += sub @ top[1:]
-        return np.concatenate([out.reshape(m, *x.shape[1:]), residual @ x[m:]])
+            out[-1] += coupling @ flat[m:]
+        return np.concatenate([out.reshape(m, flat.shape[1]), rest]).reshape(np.shape(x))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """V x: block k is diag x_k + sub x_{k-1}."""
-        return self._apply(x, self.diag, self.sub, self.residual, True)
+        """V x: block k is diag x_k + sub x_{k-1}; the remainder adds link* sub x_N."""
+        coupling = self.link.conj().T @ self.sub
+        return self._apply(x, self.diag, self.sub, self.remainder, coupling, True)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """V* y: block k is diag* y_k + sub* y_{k+1}."""
-        return self._apply(
-            y, self.diag.conj().T, self.sub.conj().T, self.residual.conj().T, False
-        )
+        """V* y: block k is diag* y_k + sub* y_{k+1}, plus sub* link y_r at k = N."""
+        adj = [m.conj().T for m in (self.diag, self.sub, self.remainder)]
+        return self._apply(y, *adj, adj[1] @ self.link, False)
 
     def dense(self) -> np.ndarray:
-        """The matrix itself, ((blocks d + r) x (blocks d + r))."""
-        return self.matvec(np.eye(self.blocks * self.diag.shape[0] + self.residual.shape[0]))
+        """The matrix itself, ((blocks d + n) x (blocks d + n))."""
+        return self.matvec(np.eye(self.blocks * self.diag.shape[0] + self.remainder.shape[0]))
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the generators."""
-        return self.diag.nbytes + self.sub.nbytes + self.residual.nbytes
+        return self.diag.nbytes + self.sub.nbytes + self.remainder.nbytes + self.link.nbytes
 
 
 @dataclass
@@ -158,9 +161,8 @@ class DouglasModel:
 
     v1, v2 and v3 are LiftOperators; ``.dense()`` gives one as a matrix.
     ``special`` is the special-pair flag of (G1, G2), decided with them.
-    The top-degree block of v3* v3 - I is nonzero by construction (the
-    truncated shift loses the highest mode); every contract here excludes
-    that block and is stated relative to ``tail``.
+    ``tail`` is ||D_{T*} T^{*(N+1)}||, which sets the order, and ``deficiency``
+    ||T^{N+1} T^{*(N+1)} - Q||, the distance to the E-isometric model.
     """
 
     order_n: int
@@ -265,7 +267,7 @@ def auto_order(t_mat, tol: Tolerances = DEFAULT_TOL) -> tuple[int, bool]:
     """Smallest truncation order with tail <= 1e-10, capped at 512.
 
     Returns (order, capped); the cap is reported, not silently absorbed,
-    because every model guarantee scales with the tail.
+    because a capped model's tail and deficiency stay above the target.
     """
     t = as_matrix(t_mat, square=True, name="T")
     d_op, d_carrier = defect(t, adjoint=True, tol=tol)
@@ -275,17 +277,28 @@ def auto_order(t_mat, tol: Tolerances = DEFAULT_TOL) -> tuple[int, bool]:
 def observability_embedding(
     triple: OperatorTriple, n_order: int, tol: Tolerances = DEFAULT_TOL
 ):
-    """Stack the observability blocks over the residual projection.
+    """Stack the observability blocks over the remainder (_embedding).
 
     Returns (embedding, tail, defect_carrier, q_limit).  The embedding has
-    shape ((N+1) d + r, n) and satisfies
-    ||Pi* Pi - I|| <= ||T^{N+1}||^2; the tail ||D_{T*} T^{*(N+1)}|| governs
-    all lift residuals downstream.
+    shape ((N+1) d + n, n) and is an isometry at every order.
     """
     ql = compute_Q(triple.t, tol)
     d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
-    rows, tail, _, _ = _observability_rows(triple.t, d_op, d_carrier, n_order)
-    return np.vstack(rows + [ql.carrier.basis.conj().T]), tail, d_carrier, ql
+    pi, tail = _embedding(triple.t, d_op, d_carrier, ql.carrier, n_order)[:2]
+    return pi, tail, d_carrier, ql
+
+
+def _embedding(t, d_op, d_carrier: SubspaceBasis, unitary: SubspaceBasis, n_order):
+    """(Pi, tail, order, capped, ||T^(N+1) T*^(N+1) - Q||): _observability_rows
+    over the remainder T*^(N+1) (I - Q) + Q, Q the projection on ``unitary``.
+    As D_{T*}^2 = I - T T* telescopes, the rows give I - T^(N+1) T*^(N+1); Q
+    reduces T, unitary on it, so the remainder makes Pi* Pi = I at every order.
+    """
+    rows, tail, order, capped = _observability_rows(t, d_op, d_carrier, n_order)
+    q = unitary.basis @ unitary.basis.conj().T
+    power = np.linalg.matrix_power(t.conj().T, order + 1)
+    rows.append(power @ (np.eye(len(t)) - q) + q)
+    return np.vstack(rows), tail, order, capped, _nrm(power.conj().T @ power - q)
 
 
 def _observability_rows(
@@ -332,33 +345,26 @@ def build_lift(
 ) -> DouglasModel:
     """Assemble the truncated model and its lift triple.
 
-    v3 is the truncated block shift extended by the residual unitary W;
-    v1 and v2 are the block-Toeplitz truncations of the multiplication
-    operators with symbols G1* + z G2 and G2* + z G1 extended by R and S.
-    All three are LiftOperators.  D_{T*} is computed once, and the powers
-    of T* once, for both the order search and the embedding.
+    v3 is the truncated block shift, and v1 and v2 the block-Toeplitz
+    truncations of the multiplication operators with symbols G1* + z G2 and
+    G2* + z G1; each carries T, A or B on the remainder, with the
+    embedding's first block row as its link.  All three are LiftOperators.
+    D_{T*} is computed once, for both the order search and the embedding,
+    and the residual triple's carrier gives Q.
     """
     d_op, d_carrier = defect(triple.t, adjoint=True, tol=tol)
     g1, g2, _ = _fundamental_pair(triple, True, d_op, d_carrier, tol)
     rt = residual_triple(triple, tol)
-    rows, tail, n_order, capped = _observability_rows(triple.t, d_op, d_carrier, n_order)
+    pi, tail, n_order, capped, deficiency = _embedding(
+        triple.t, d_op, d_carrier, rt.carrier, n_order
+    )
     warnings = [f"truncation order capped at {_MAX_ORDER}; tail target not met"] if capped else []
-    pi = np.vstack(rows + [rt.carrier.basis.conj().T])
     d = d_carrier.dim
     blocks = n_order + 1
 
-    v3 = LiftOperator(np.zeros((d, d), dtype=complex), np.eye(d), blocks, rt.w)
-    v1 = LiftOperator(g1.conj().T, g2, blocks, rt.r)
-    v2 = LiftOperator(g2.conj().T, g1, blocks, rt.s)
-
-    gram = pi.conj().T @ pi
-    deficiency = _nrm(gram - np.eye(triple.dim))
-    power_bound = _nrm(np.linalg.matrix_power(triple.t, n_order + 1)) ** 2
-    if deficiency > power_bound + tol.eq_tol:
-        raise InternalConsistencyError(
-            f"embedding deficiency {deficiency:.3e} exceeds ||T^(N+1)||^2 = "
-            f"{power_bound:.3e}"
-        )
+    v3 = LiftOperator(np.zeros((d, d), dtype=complex), np.eye(d), blocks, triple.t, pi[:d])
+    v1 = LiftOperator(g1.conj().T, g2, blocks, triple.a, pi[:d])
+    v2 = LiftOperator(g2.conj().T, g1, blocks, triple.b, pi[:d])
     return DouglasModel(
         order_n=n_order,
         defect_dim=d,
@@ -381,11 +387,11 @@ def verify_lift(
 ) -> dict[str, float]:
     """Intertwining and compression-recovery residuals of a built model.
 
-    Contract: each intertwining residual ||Vi* Pi - Pi Xi*|| is at most
-    c * tail + eq_tol with c = 2 (1 + ||G1|| + ||G2||); truncation leaks
-    only through the top-degree block.  Compression recovery
-    ||Pi* Vi Pi - Xi|| obeys the same bound once the tail is small.
-    Vi* Pi and Vi Pi are applied blockwise, never as dense matrices.
+    The model is exact at every order, Vi* Pi = Pi Xi* and Pi* Pi = I, so
+    the intertwining residuals ||Vi* Pi - Pi Xi*|| and the recovery
+    residuals ||Pi* Vi Pi - Xi|| are at rounding level; each is checked
+    against c * tail + eq_tol with c = 2 (1 + ||G1|| + ||G2||).  Vi* Pi and
+    Vi Pi are applied blockwise, never as dense matrices.
     """
     pi = model.embedding
     out = {}

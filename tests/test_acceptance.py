@@ -81,14 +81,14 @@ def test_criterion_3_douglas_lift_verification():
             assert res[f"intertwine_{name}"] <= 1e-8, (seed, name, res)
             assert res[f"recover_{name}"] <= 1e-7, (seed, name, res)
         radius = spectral_radius(trip.t)
+        # The model is exact at every order, so the order is judged by its
+        # deficiency ||T^(N+1) T*^(N+1) - Q||: doubling the order halves it.
         if 0.4 <= radius <= 0.9 and halving_checked < 30:
-            res_n = md.verify_lift(md.build_lift(trip, 8), trip)
-            res_2n = md.verify_lift(md.build_lift(trip, 16), trip)
-            worst_n = max(res_n[f"intertwine_{k}"] for k in "abt")
-            worst_2n = max(res_2n[f"intertwine_{k}"] for k in "abt")
-            if worst_n > 1e-12:
+            deficiency_n = md.build_lift(trip, 8).deficiency
+            deficiency_2n = md.build_lift(trip, 16).deficiency
+            if deficiency_n > 1e-12:
                 halving_checked += 1
-                assert worst_2n <= 0.5 * worst_n, (seed, worst_n, worst_2n)
+                assert deficiency_2n <= 0.5 * deficiency_n, (seed, deficiency_n, deficiency_2n)
     assert halving_checked >= 10
     elapsed = time.time() - start
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 120s"

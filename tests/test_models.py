@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -29,6 +30,7 @@ from tetrakit.matkernel import (
 )
 from tetrakit.matkernel import _PSD_TOL
 from tetrakit.matkernel import _norm_or_zero as _nrm
+from test_contraction_edge import EQ_TOL, edge_triples
 
 
 def scalar_triple(a, b, t):
@@ -291,36 +293,57 @@ def test_pipeline_pair_matches_the_report(n, seed):
     assert model.special == pair.is_special
 
 
+def dense_deficiency(t, n_order):
+    """||T^(N+1) T*^(N+1) - Q|| by dense matrix powers."""
+    power = np.linalg.matrix_power(t, n_order + 1)
+    return _nrm(power @ power.conj().T - md.compute_Q(t).q)
+
+
+def gram_error(pi):
+    """||Pi* Pi - I||."""
+    return _nrm(pi.conj().T @ pi - np.eye(pi.shape[1]))
+
+
 class TestEmbedding:
     def test_t_zero_identity_embedding(self):
+        # T = 0: the order-0 block is C* (C the carrier of D_{T*} = I); the
+        # later blocks and the remainder T*^(N+1) vanish.
         trip = cl.OperatorTriple(0.3 * np.eye(2), 0.2 * np.eye(2), np.zeros((2, 2)))
         pi, tail, carrier, ql = md.observability_embedding(trip, 4)
         assert tail == pytest.approx(0.0, abs=1e-14)
-        assert pi.shape == (10, 2)
-        assert operator_norm(pi.conj().T @ pi - np.eye(2)) <= 1e-12
+        assert pi.shape == (12, 2)
+        assert gram_error(pi) <= 1e-13
+        assert _nrm(pi[2:]) == 0.0
 
     def test_scalar_geometric_deficiency(self):
         trip = scalar_triple(0.2, 0.1, 0.5)
         pi, tail, _, _ = md.observability_embedding(trip, 10)
-        deficiency = abs((pi.conj().T @ pi)[0, 0] - 1.0)
-        assert deficiency == pytest.approx(0.25**11, rel=1e-9)
+        assert gram_error(pi) <= 1e-13
         assert tail == pytest.approx(np.sqrt(0.75) * 0.5**11, rel=1e-12)
+        model = md.build_lift(trip, 10)
+        assert model.deficiency == pytest.approx(0.25**11, rel=1e-9)
+        assert model.deficiency == pytest.approx(dense_deficiency(trip.t, 10), abs=1e-15)
 
     def test_unitary_t_residual_only(self):
+        # A unitary T has an empty defect and Q = I, so Pi is the identity.
         trip = gen.gen_strict_e_unitary(GenConfig(seed=1, dim=3))
         pi, tail, carrier, _ = md.observability_embedding(trip, 6)
         assert carrier.dim == 0
         assert pi.shape == (3, 3)
         assert tail == pytest.approx(0.0, abs=1e-12)
+        assert _nrm(pi - np.eye(3)) <= 1e-13
 
     def test_deficiency_bounded_by_power_norm(self):
         for seed in range(10):
             trip = mixed_triple(seed)
             n_order = 6
             pi, _, _, _ = md.observability_embedding(trip, n_order)
-            deficiency = operator_norm(pi.conj().T @ pi - np.eye(trip.dim))
+            assert gram_error(pi) <= 1e-13
+            model = md.build_lift(trip, n_order)
+            assert np.array_equal(model.embedding, pi)
+            assert model.deficiency == pytest.approx(dense_deficiency(trip.t, n_order), abs=1e-13)
             bound = operator_norm(np.linalg.matrix_power(trip.t, n_order + 1)) ** 2
-            assert deficiency <= bound + 1e-9
+            assert model.deficiency <= bound + 1e-13
 
 
 class TestBuildAndVerifyLift:
@@ -349,6 +372,8 @@ class TestBuildAndVerifyLift:
             assert res[f"recover_{name}"] <= 1e-9
 
     def test_halving_with_order_doubling(self):
+        # The model is exact at every order; doubling the order halves its
+        # distance to the E-isometric model.
         count = 0
         seed = 0
         while count < 10:
@@ -358,13 +383,11 @@ class TestBuildAndVerifyLift:
             if not 0.4 <= r <= 0.9:
                 continue
             count += 1
-            res_n = md.verify_lift(md.build_lift(trip, 8), trip)
-            res_2n = md.verify_lift(md.build_lift(trip, 16), trip)
-            worst_n = max(res_n[f"intertwine_{k}"] for k in "abt")
-            worst_2n = max(res_2n[f"intertwine_{k}"] for k in "abt")
-            if worst_n < 1e-12:
+            deficiency_n = md.build_lift(trip, 8).deficiency
+            deficiency_2n = md.build_lift(trip, 16).deficiency
+            if deficiency_n < 1e-12:
                 continue
-            assert worst_2n <= 0.5 * worst_n
+            assert deficiency_2n <= 0.5 * deficiency_n
 
     def test_t_zero_block_structure(self):
         trip = cl.OperatorTriple(
@@ -376,8 +399,16 @@ class TestBuildAndVerifyLift:
         assert np.allclose(model.g2, trip.b.conj().T, atol=1e-10)
         d = model.defect_dim
         assert d == 2
-        shift = np.kron(np.eye(4, k=-1), np.eye(2))
-        assert np.allclose(model.v3.dense(), shift, atol=1e-12)
+        # V3 is the block shift, coupled from its last block into the
+        # remainder by link* = C, the carrier of D_{T*} = I; T = 0 there.
+        link = model.embedding[:d]
+        assert _nrm(link @ link.conj().T - np.eye(d)) <= 1e-12
+        expected = np.zeros((4 * d + 2, 4 * d + 2), dtype=complex)
+        expected[: 4 * d, : 4 * d] = np.kron(np.eye(4, k=-1), np.eye(d))
+        expected[4 * d:, 3 * d: 4 * d] = link.conj().T
+        assert np.allclose(model.v3.dense(), expected, atol=1e-12)
+        for v, x in ((model.v1, trip.a), (model.v2, trip.b), (model.v3, trip.t)):
+            assert np.array_equal(v.remainder, x) and np.array_equal(v.link, link)
 
     def test_wold_form_on_interior_blocks(self):
         # V1 = V2* V3 and V2 = V1* V3 away from the truncation edge.
@@ -403,24 +434,10 @@ class TestBuildAndVerifyLift:
         delta = 1e-3
         e = rng.standard_normal(model.g1.shape) + 1j * rng.standard_normal(model.g1.shape)
         e /= operator_norm(e)
-        bad = md.DouglasModel(
-            order_n=model.order_n,
-            defect_dim=model.defect_dim,
+        bad = dataclasses.replace(
+            model,
             g1=model.g1 + delta * e,
-            g2=model.g2,
-            embedding=model.embedding,
-            v1=md.LiftOperator(
-                (model.g1 + delta * e).conj().T,
-                model.g2,
-                model.order_n + 1,
-                model.residual.r,
-            ),
-            v2=model.v2,
-            v3=model.v3,
-            residual=model.residual,
-            special=model.special,
-            tail=model.tail,
-            deficiency=model.deficiency,
+            v1=dataclasses.replace(model.v1, diag=(model.g1 + delta * e).conj().T),
         )
         perturbed = md.verify_lift(bad, trip)["intertwine_a"]
         top = pi[: model.defect_dim, :]
@@ -429,14 +446,74 @@ class TestBuildAndVerifyLift:
         assert perturbed > 100 * base
 
 
-def dense_lift_reference(diag, sub, blocks, residual):
-    """The lift operator as built before it was stored by generators."""
-    d = diag.shape[0]
-    if d:
-        top = np.kron(np.eye(blocks), diag) + np.kron(np.eye(blocks, k=-1), sub)
+@st.composite
+def exact_lift_cases(draw):
+    """(triple, order), order None for the automatic one.  The triple is
+    pure, a Haar-conjugated mixed triple with an exactly unitary part, a
+    non-normal mixed triple, (0, 0, diag(1 - eps, 0.5)) with eps = 1e-3,
+    1e-5 or 1e-7, or an edge_triples member within the contraction rule."""
+    order = draw(st.none() | st.integers(0, 64))
+    seed = draw(st.integers(0, 2**16))
+    family = draw(st.sampled_from(["pure", "mixed", "nonnormal", "near_unitary", "edge"]))
+    if family == "pure":
+        trip = gen.gen_pure_e_contraction(GenConfig(seed=seed, dim=draw(st.integers(1, 4))))
+    elif family == "mixed":
+        trip = mixed_triple(seed, draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    elif family == "nonnormal":
+        trip = nonnormal_triple(seed, draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    elif family == "near_unitary":
+        zero = np.zeros((2, 2))
+        eps = draw(st.sampled_from([1e-3, 1e-5, 1e-7]))
+        trip = cl.OperatorTriple(zero, zero, np.diag([1.0 - eps, 0.5]))
     else:
-        top = np.zeros((0, 0))
-    return scipy.linalg.block_diag(top, residual)
+        trip = draw(edge_triples().filter(lambda case: case[1] <= EQ_TOL))[0]
+    return trip, order
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(exact_lift_cases())
+def test_lift_is_exact_at_every_order(case):
+    # D_{T*}^2 = I - T T* telescopes, so Pi* Pi = I and Vi* Pi = Pi Xi* hold
+    # at every order, up to rounding.
+    trip, order = case
+    model = md.build_lift(trip, order)
+    res = md.verify_lift(model, trip)
+    worst = max(v for k, v in res.items() if k != "bound")
+    assert worst <= 1e-12 * trip.scale_norm(), res
+    assert gram_error(model.embedding) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.floats(1e-10, 1e-9),
+    st.floats(0.0, 1.0),
+    st.none() | st.integers(0, 64),
+    st.integers(0, 2**16),
+)
+def test_near_unitary_band_within_bound(eps, phase, order, seed):
+    # compute_Q calls the eigenvalue (1 - eps) e^(2 pi i phase) unimodular
+    # while D_{T*} still carries it, so the residuals reach the tail scale;
+    # they stay within verify_lift's bound.
+    zero = np.zeros((2, 2))
+    t = np.diag([(1.0 - eps) * np.exp(2j * np.pi * phase), 0.5])
+    trip = cl.OperatorTriple(zero, zero, t).conjugate_by(
+        gen.haar_unitary(np.random.default_rng(seed), 2)
+    )
+    res = md.verify_lift(md.build_lift(trip, order), trip)
+    assert max(v for k, v in res.items() if k != "bound") <= res["bound"], res
+
+
+def dense_lift_reference(diag, sub, blocks, remainder, link):
+    """The lift operator as one dense matrix: the block Toeplitz part, the
+    remainder block, and link* sub from the last block into the remainder."""
+    d, n = diag.shape[0], remainder.shape[0]
+    m = blocks * d
+    ref = np.zeros((m + n, m + n), dtype=complex)
+    if d:
+        ref[:m, :m] = np.kron(np.eye(blocks), diag) + np.kron(np.eye(blocks, k=-1), sub)
+    ref[m:, m:] = remainder
+    ref[m:, m - d: m] = link.conj().T @ sub
+    return ref
 
 
 def dense_verify_reference(model, triple):
@@ -444,14 +521,14 @@ def dense_verify_reference(model, triple):
     pi = model.embedding
     blocks = model.order_n + 1
     d = model.defect_dim
-    rt = model.residual
+    link = pi[:d]
     out = {}
-    for name, diag, sub, res, x in (
-        ("a", model.g1.conj().T, model.g2, rt.r, triple.a),
-        ("b", model.g2.conj().T, model.g1, rt.s, triple.b),
-        ("t", np.zeros((d, d)), np.eye(d), rt.w, triple.t),
+    for name, diag, sub, x in (
+        ("a", model.g1.conj().T, model.g2, triple.a),
+        ("b", model.g2.conj().T, model.g1, triple.b),
+        ("t", np.zeros((d, d)), np.eye(d), triple.t),
     ):
-        v = dense_lift_reference(diag, sub, blocks, res)
+        v = dense_lift_reference(diag, sub, blocks, x, link)
         out[f"intertwine_{name}"] = _nrm(v.conj().T @ pi - pi @ x.conj().T)
         out[f"recover_{name}"] = _nrm(pi.conj().T @ (v @ pi) - x)
     out["bound"] = (
@@ -460,11 +537,11 @@ def dense_verify_reference(model, triple):
     return out
 
 
-def random_lift_operator(rng, d, r, blocks):
-    def mat(rows):
-        return rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows))
+def random_lift_operator(rng, d, n, blocks):
+    def mat(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
-    return md.LiftOperator(mat(d), mat(d), blocks, mat(r))
+    return md.LiftOperator(mat(d, d), mat(d, d), blocks, mat(n, n), mat(d, n))
 
 
 def normal_with_radius(seed, n, radius):
@@ -482,13 +559,13 @@ def normal_with_radius(seed, n, radius):
 
 class TestLiftOperator:
     @pytest.mark.parametrize("d", [0, 1, 3])
-    @pytest.mark.parametrize("r", [0, 2])
+    @pytest.mark.parametrize("n", [0, 2])
     @pytest.mark.parametrize("blocks", [1, 5])
-    def test_against_dense_reference(self, d, r, blocks):
-        rng = np.random.default_rng([d, r, blocks])
-        op = random_lift_operator(rng, d, r, blocks)
-        ref = dense_lift_reference(op.diag, op.sub, blocks, op.residual)
-        size = blocks * d + r
+    def test_against_dense_reference(self, d, n, blocks):
+        rng = np.random.default_rng([d, n, blocks])
+        op = random_lift_operator(rng, d, n, blocks)
+        ref = dense_lift_reference(op.diag, op.sub, blocks, op.remainder, op.link)
+        size = blocks * d + n
         assert op.dense().shape == (size, size)
         assert np.array_equal(op.dense(), ref)
         for shape in ((size,), (size, 3)):
@@ -499,20 +576,20 @@ class TestLiftOperator:
 
     def test_nbytes_counts_generators_only(self):
         op = random_lift_operator(np.random.default_rng(0), 3, 2, 500)
-        assert op.nbytes == 16 * (9 + 9 + 4)
+        assert op.nbytes == 16 * (9 + 9 + 4 + 6)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(0, 4), st.integers(0, 3), st.integers(1, 7), st.integers(0, 2**16))
-    def test_adjoint_identity(self, d, r, blocks, seed):
+    def test_adjoint_identity(self, d, n, blocks, seed):
         rng = np.random.default_rng(seed)
-        op = random_lift_operator(rng, d, r, blocks)
-        size = blocks * d + r
+        op = random_lift_operator(rng, d, n, blocks)
+        size = blocks * d + n
         x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         lhs = np.vdot(y, op.matvec(x))
         rhs = np.vdot(op.rmatvec(y), x)
         scale = 1.0 + np.linalg.norm(x) * np.linalg.norm(y) * (
-            _nrm(op.diag) + _nrm(op.sub) + _nrm(op.residual)
+            _nrm(op.diag) + _nrm(op.sub) + _nrm(op.remainder) + _nrm(op.link) * _nrm(op.sub)
         )
         assert abs(lhs - rhs) <= 1e-13 * scale
 
@@ -536,12 +613,13 @@ class TestStructuredLift:
         zero = np.zeros((2, 2))
         trip = cl.OperatorTriple(zero, zero, np.diag([1.0 - 1e-3, 0.5]))
         model = md.build_lift(trip)
-        assert model.order_n == 512 and model.embedding.shape == (1026, 2)
+        assert model.order_n == 512 and model.embedding.shape == (1028, 2)
         res = md.verify_lift(model, trip)
         ref = dense_verify_reference(model, trip)
         assert res.keys() == ref.keys()
         for key, value in ref.items():
             assert abs(res[key] - value) <= 1e-13 * max(1.0, value), key
+            assert key == "bound" or res[key] <= res["bound"], key
 
 
 class TestStrictness:
